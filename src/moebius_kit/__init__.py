@@ -76,7 +76,6 @@ from .polygon import (
     EquilateralityCertificate,
     chord_length_regular,
     curve_distance,
-    polygon_eval,
     random_equilateral_polygon,
     regular_ngon,
 )

@@ -13,7 +13,6 @@ import argparse
 import datetime
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -87,13 +86,6 @@ def parse_n_spec(spec: str) -> list[int]:
     return values
 
 
-def _resolve_threads(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("MOEBIUS_KIT_THREADS")
-    return int(env) if env else None
-
-
 def _write_manifest(out_dir: Path, command: str, args, seed=None) -> None:
     config = {
         k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
@@ -102,7 +94,6 @@ def _write_manifest(out_dir: Path, command: str, args, seed=None) -> None:
         "command": command,
         "config": config,
         "seed": seed,
-        "threads": _resolve_threads(args),
         "versions": {
             "moebius_kit": __version__,
             "numpy": np.__version__,
@@ -150,6 +141,10 @@ def cmd_energy(args) -> int:
             fh.write("\n")
     if args.terms_csv:
         report.terms_to_csv(args.terms_csv)
+    if args.kind == "smooth" and not report.diagnostics["converged"]:
+        print(f"error: smooth quadrature did not converge to tol {args.tol:g} "
+              f"in {report.diagnostics['levels']} levels", file=sys.stderr)
+        return 3
     return 0
 
 
@@ -260,8 +255,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="moebius-kit", description=__doc__)
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap internal worker threads (falls back to MOEBIUS_KIT_THREADS)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("energy", help="evaluate an energy functional")

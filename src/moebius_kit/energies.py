@@ -20,7 +20,13 @@ import numpy as np
 
 from .curves import ArcLengthCurve, ParametricCurve
 from .errors import DoublePointError, InputError, NotEmbeddedError
-from .polygon import ClosedPolygon, regular_ngon, chord_length_regular
+from .polygon import (
+    ClosedPolygon,
+    chord_length_regular,
+    inverse_square_chords,
+    regular_ngon,
+    zero_adjacent_pairs,
+)
 
 
 class WeightScheme(str, enum.Enum):
@@ -69,41 +75,28 @@ class EnergyReport:
 
 
 def _pair_terms(p: ClosedPolygon, scheme: WeightScheme) -> tuple[np.ndarray, dict]:
-    """Full (n, n) matrix of discrete-energy terms (diagonal zero)."""
-    v = p.vertices
-    n = p.n
-    L = p.total_length
-    a = p.arc_params
-    ell = p.edge_lengths
+    """Full (n, n) matrix w_i w_j (Q_ij - D_ij) of discrete-energy terms.
 
-    forward = np.minimum(ell, L - ell)            # d(a_i, a_{i+1}); equals ell for simple polygons
+    Q is the inverse-square chord and D the inverse-square intrinsic
+    distance, both zero on the diagonal and on consecutive pairs (there
+    chord and arc distance are the same edge, so the term vanishes).
+    """
+    L = p.total_length
+    forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
     if scheme is WeightScheme.FORWARD:
         w = forward
     else:
         w = 0.5 * (np.roll(forward, 1) + forward)
 
-    diff = v[:, None, :] - v[None, :, :]
-    chord2 = np.einsum("ijk,ijk->ij", diff, diff)
-    off = ~np.eye(n, dtype=bool)
-    tiny = (1e-12 * L) ** 2
-    bad = off & (chord2 < tiny)
-    if np.any(bad):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise DoublePointError(f"infinite energy: double point at ({i},{j})", pair=(i, j))
-
-    delta = np.mod(a[None, :] - a[:, None], L)
-    dint = np.minimum(delta, L - delta)
-    terms = np.zeros((n, n))
-    terms[off] = (1.0 / chord2[off] - 1.0 / dint[off] ** 2) * (w[:, None] * w[None, :])[off]
-    # consecutive vertices: chord and arc distance are the same edge length,
-    # so the term vanishes identically; zero it instead of keeping 1-ulp dust
-    idx = np.arange(n)
-    terms[idx, (idx + 1) % n] = 0.0
-    terms[(idx + 1) % n, idx] = 0.0
-
-    chord = np.sqrt(chord2[off])
+    terms, smallest_chord = inverse_square_chords(p, 1e-12 * L)   # Q, reused in place
+    D = np.abs(np.subtract.outer(p.arc_params, p.arc_params))
+    np.minimum(D, L - D, out=D)                                 # d(a_i, a_j)
+    np.fill_diagonal(D, np.inf)
+    D = zero_adjacent_pairs(np.reciprocal(np.square(D, out=D), out=D))
+    terms -= D
+    terms *= np.multiply.outer(w, w)
     diag = {
-        "smallest_chord": float(chord.min()),
+        "smallest_chord": smallest_chord,
         "largest_term": float(np.abs(terms).max()),
     }
     return terms, diag
@@ -115,13 +108,14 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
 
     Sums, over ordered vertex pairs i != j, the inverse-square chord minus
     the inverse-square intrinsic distance of the arc parameters, times the
-    scheme's weights.  Accumulation is compensated in fixed row-major
-    order.  Nearly coincident non-consecutive vertices raise
+    scheme's weights.  Nearly coincident vertices raise
     :class:`DoublePointError` (the energy is infinite there).
     """
     scheme = WeightScheme(scheme)
     terms, diag = _pair_terms(p, scheme)
-    value = math.fsum(terms.ravel())
+    # a chord is no longer than either arc between its ends, so every term
+    # is >= 0 and numpy's pairwise summation is accurate to ~log2(n^2) ulp
+    value = float(terms.sum())
     diag["weights"] = scheme.value
     return EnergyReport(
         value=value,

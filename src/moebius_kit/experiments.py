@@ -332,7 +332,8 @@ def minimizer_study(n_list, seeds=10, dim: int = 3,
     For each n, every seed is descended; the best run is compared against
     the regular n-gon (energy gap, rigid-alignment residual) and, after
     rescaling to length 1, against the round circle in W^{1,inf}.  A row is
-    flagged when every seed terminated at a barrier or stall.
+    flagged when no seed converged: every run ended at a barrier, a stall
+    or the iteration budget.
     """
     n_list = [int(n) for n in n_list]
     if any(not 4 <= n <= 64 for n in n_list):
@@ -353,7 +354,7 @@ def minimizer_study(n_list, seeds=10, dim: int = 3,
             if best is None or energy < best[0]:
                 best = (energy, trace.final_polygon)
         min_energy, polygon = best
-        flagged = all(t in ("stalled", "barrier") for t in terminations)
+        flagged = all(t in ("stalled", "barrier", "max_iterations") for t in terminations)
         gn = regular_ngon(n, polygon.total_length, dim=polygon.dim)
         _, residual = align_rigid(polygon, gn)
         circle = unit_circle(1.0, dim=polygon.dim)

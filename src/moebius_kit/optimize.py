@@ -1,11 +1,12 @@
 """Minimization of the discrete Moebius energy over equilateral closed polygons.
 
-Projected gradient descent: full Euclidean gradient of the discrete
-energy (chords, weights, and intrinsic arc distances all differentiated
-through the vertices), alternating projection back onto the
-equal-edge-length closure constraint, and an Armijo backtracking line
-search.  Rigid alignment utilities compare minimizers against regular
-n-gons and circles.
+Projected gradient descent: Euclidean gradient of the discrete energy,
+alternating projection back onto the equal-edge-length closure
+constraint, and an Armijo backtracking line search.  The descent only
+visits equilateral polygons, where the arc-distance part of the energy
+has zero gradient, so the gradient is that of the chord part alone (see
+:func:`energy_gradient`).  Rigid alignment utilities compare minimizers
+against regular n-gons and circles.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
-from .polygon import ClosedPolygon
+from .polygon import ClosedPolygon, inverse_square_chords
 
 
 @dataclass(frozen=True)
@@ -69,78 +70,44 @@ class DescentTrace:
                 writer.writerow([i, repr(e), repr(g), repr(s)])
 
 
-def energy_gradient(p: ClosedPolygon, tie_tol: float = 1e-9) -> np.ndarray:
+def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     """Euclidean gradient of the forward-weighted discrete energy.
 
-    Differentiates chords, edge-length weights, and the intrinsic arc
-    distances (through the vertex arc parameters).  Where the two arcs
-    between a vertex pair tie (antipodal pairs on even equilateral
-    polygons), the derivative of their minimum is taken as the branch
-    average, matching central finite differences.  Expects a polygon that
-    is equilateral to about 1e-9.
+    On an equilateral polygon the arc part sum l_i l_j / d(a_i, a_j)^2
+    depends on the vertices only through the edge lengths l, and it is
+    invariant under cyclic shifts and scaling of l.  Its partial
+    derivatives in the l_k are therefore equal and sum to zero, so each
+    is zero (see PAPER.md).  The gradient is that of the chord part
+    C = sum l_i l_j Q_ij alone, with Q the inverse-square chord matrix:
+    row i is 4 sum_j A_ij (v_j - v_i) for A = l (x) l o Q^2, plus the
+    chain rule through dC/dl_k = 2 (Q l)_k.
+
+    On equilateral input the result is exact; at the antipodal arc ties
+    of even n it is the mean of the one-sided derivatives, which central
+    differences measure.  For edge deviation up to 1e-8 it is the
+    equilateral-reduced gradient; larger deviations raise
+    :class:`InputError`.
     """
     cert = p.equilaterality()
     if cert.max_edge_deviation > 1e-8:
         raise InputError(
             f"gradient expects an (almost) equilateral polygon; deviation {cert.max_edge_deviation:.2e}"
         )
-    v = p.vertices
-    n, dim = v.shape
-    L = p.total_length
-    ell = p.edge_lengths
-    unit = p.unit_edges()
-    a = p.arc_params
-
-    diff = v[None, :, :] - v[:, None, :]          # diff[i, j] = v_j - v_i
-    chord2 = np.einsum("ijk,ijk->ij", diff, diff)
-    np.fill_diagonal(chord2, np.inf)
-    if chord2.min() < (1e-10 * L) ** 2:
-        i, j = map(int, np.argwhere(chord2 == chord2.min())[0])
-        raise DoublePointError(f"gradient undefined near double point ({i},{j})", pair=(i, j))
-
-    s_fwd = np.mod(a[None, :] - a[:, None], L)    # arc i -> j through increasing index
-    dint = np.minimum(s_fwd, L - s_fwd)
-    np.fill_diagonal(dint, np.inf)
-    T = 1.0 / chord2 - 1.0 / dint**2
-
-    w = ell                                        # forward weights; ell_i <= L/2 for simple polygons
-
-    # chord part: sum_j 4 w_m w_j (v_j - v_m) / r^4
-    inv_r4 = 1.0 / chord2**2
-    grad = 4.0 * w[:, None] * np.einsum("ij,ijk->ik", w[None, :] * inv_r4, diff)
-
-    # weight part: d(w_i w_j)/dv through the edge lengths
-    row = 2.0 * (T * w[None, :]).sum(axis=1)      # row[k] = 2 sum_j T_kj w_j
-    edge_pull = row[:, None] * unit               # dE/d(ell_k) * unit_k
+    Q, _ = inverse_square_chords(p, 1e-10 * p.total_length)
+    ell = p.edge_lengths                   # forward weights; l_i <= L/2 on closed polygons
+    edge_pull = (2.0 * (Q @ ell))[:, None] * p.unit_edges()
+    A = np.square(Q, out=Q)
+    A *= np.multiply.outer(ell, ell)
+    # sum_j A_ij (v_i - v_j) one coordinate at a time: the differences are
+    # exact, whereas A v - rowsum(A) v loses |v| / chord to cancellation
+    # at close approaches
+    diff = np.empty_like(A)
+    grad = np.empty_like(p.vertices)
+    for k in range(p.dim):
+        x = p.vertices[:, k]
+        grad[:, k] = np.einsum("ij,ij->i", A, np.subtract.outer(x, x, out=diff))
+    grad *= -4.0
     grad += np.roll(edge_pull, 1, axis=0) - edge_pull
-
-    # intrinsic part: d(-1/d^2)/dv = (2/d^3) dd/dv, dd/dl_k = 1 on the shorter arc
-    iu, ju = np.triu_indices(n, 1)
-    s1 = s_fwd[iu, ju]
-    s2 = L - s1
-    q = 4.0 * w[iu] * w[ju] / dint[iu, ju] ** 3   # both orders of each unordered pair
-    bump = np.zeros(n + 1)
-    near_tie = np.abs(s1 - s2) <= tie_tol * L
-    take_fwd = (~near_tie) & (s1 < s2)
-    take_bwd = (~near_tie) & (s1 > s2)
-
-    def add_range(starts, ends, vals):
-        # accumulate vals on edge index ranges [start, end) with wraparound
-        wrap = ends > n
-        np.add.at(bump, starts, vals)
-        np.add.at(bump, np.where(wrap, n, ends), -vals)
-        if np.any(wrap):
-            np.add.at(bump, np.zeros(int(wrap.sum()), dtype=int), vals[wrap])
-            np.add.at(bump, ends[wrap] - n, -vals[wrap])
-
-    add_range(iu[take_fwd], ju[take_fwd], q[take_fwd])
-    add_range(ju[take_bwd], iu[take_bwd] + n, q[take_bwd])
-    add_range(iu[near_tie], ju[near_tie], 0.5 * q[near_tie])
-    add_range(ju[near_tie], iu[near_tie] + n, 0.5 * q[near_tie])
-    M = np.cumsum(bump[:n])
-    arc_pull = M[:, None] * unit
-    grad += np.roll(arc_pull, 1, axis=0) - arc_pull
-
     return grad
 
 

@@ -9,9 +9,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .curves import ArcLengthCurve
-from .errors import ConvergenceError, InputError
+from .errors import ConvergenceError, DoublePointError, InputError
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,32 @@ class ClosedPolygon:
                 writer.writerow([i, repr(float(v[0])), repr(float(v[1])), repr(z), repr(float(a))])
 
 
-def polygon_eval(p: ClosedPolygon, t):
-    """Functional alias for :meth:`ClosedPolygon.eval`."""
-    return p.eval(t)
+def zero_adjacent_pairs(m: np.ndarray) -> np.ndarray:
+    """Zero the entries (i, i+1) and (i+1, i), indices mod n, of an (n, n) pair matrix in place."""
+    i = np.arange(m.shape[0])
+    j = np.roll(i, -1)
+    m[i, j] = 0.0
+    m[j, i] = 0.0
+    return m
+
+
+def inverse_square_chords(p: ClosedPolygon, barrier: float) -> tuple[np.ndarray, float]:
+    """Pair matrix Q_ij = 1 / |v_i - v_j|^2 and the smallest chord over all pairs i != j.
+
+    Q is zero on the diagonal and on consecutive pairs.  Squared chords
+    come from direct coordinate differences, so no |a|^2 + |b|^2 - 2 a.b
+    cancellation, and only (n, n) arrays are allocated.  Raises
+    :class:`DoublePointError` at the first pair, in row-major order,
+    closer than ``barrier``.
+    """
+    chord2 = cdist(p.vertices, p.vertices, "sqeuclidean")
+    np.fill_diagonal(chord2, np.inf)
+    smallest = float(chord2.min())
+    if smallest < barrier**2:
+        i, j = map(int, np.argwhere(chord2 < barrier**2)[0])
+        raise DoublePointError(f"double point: vertices {i} and {j} closer than {barrier:.1e}",
+                               pair=(i, j))
+    return zero_adjacent_pairs(np.reciprocal(chord2, out=chord2)), math.sqrt(smallest)
 
 
 def regular_ngon(n: int, length: float = 1.0, dim: int = 2) -> ClosedPolygon:
@@ -193,12 +217,12 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
             u /= norms[:, None]
         if not ok:
             continue
-        vertices = np.vstack([np.zeros(dim), np.cumsum(u[:-1], axis=0)])
-        chords = np.linalg.norm(vertices[:, None, :] - vertices[None, :, :], axis=2)
-        chords[np.diag_indices(n)] = np.inf
-        if chords.min() < 1e-9:
+        polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(u[:-1], axis=0)]))
+        try:
+            inverse_square_chords(polygon, 1e-9)
+        except DoublePointError:
             continue
-        return ClosedPolygon(vertices)
+        return polygon
     raise ConvergenceError(f"could not close a random equilateral {n}-gon for seed {seed}")
 
 

@@ -73,6 +73,19 @@ def test_energy_smooth(circle_path, capsys, tmp_path):
     assert data["diagnostics"]["converged"]
 
 
+def test_energy_smooth_unconverged_exits_3(circle_path, capsys, tmp_path):
+    report_path = tmp_path / "report.json"
+    rc = main(
+        ["energy", "--curve", circle_path, "--kind", "smooth", "--tol", "1e-10",
+         "--report", str(report_path)]
+    )
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert float(captured.out.strip()) == pytest.approx(4.0, abs=1e-7)
+    assert "did not converge" in captured.err
+    assert json.loads(report_path.read_text())["diagnostics"]["converged"] is False
+
+
 def test_energy_exit_codes(tmp_path, square_path, capsys):
     assert main(["energy", "--polygon", str(tmp_path / "nope.json"), "--kind", "discrete"]) == 1
     assert main(["energy", "--kind", "discrete"]) == 1
@@ -94,6 +107,7 @@ def test_inscribe_writes_artifacts(circle_path, tmp_path, capsys):
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["command"] == "inscribe"
     assert manifest["versions"]["moebius_kit"] == mk.__version__
+    assert "threads" not in manifest
     capsys.readouterr()
 
 

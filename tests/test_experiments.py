@@ -100,6 +100,12 @@ class TestMinimizerStudy:
             assert row["procrustes_residual"] < 1e-3
         assert report.distances_decreasing
 
+    def test_iteration_budget_counts_as_not_converged(self):
+        cfg = mk.OptimizerConfig(max_iterations=1)
+        report = mk.minimizer_study([8], seeds=10, dim=3, cfg=cfg)
+        assert report.rows[0]["terminations"] == ["max_iterations"] * 10
+        assert report.rows[0]["flagged"]
+
     def test_preconditions(self):
         with pytest.raises(InputError):
             mk.minimizer_study([4, 128], seeds=10)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,10 @@ def fd_gradient(p, h):
 
 
 class TestGradient:
-    @pytest.mark.parametrize("n,dim,seed", [(12, 3, 0), (12, 2, 1), (9, 3, 2), (16, 3, 3)])
+    # even n covers antipodal pairs, where the two arcs between i and j tie
+    @pytest.mark.parametrize(
+        "n,dim,seed", [(12, 3, 0), (12, 2, 1), (9, 3, 2), (16, 3, 3), (20, 3, 4), (24, 2, 5)]
+    )
     def test_matches_central_differences(self, n, dim, seed):
         p = mk.random_equilateral_polygon(n, dim=dim, seed=seed)
         analytic = mk.energy_gradient(p)
@@ -44,6 +48,9 @@ class TestGradient:
         assert np.linalg.norm(g.sum(axis=0)) <= 1e-10 * max(1.0, scale)
         torque = np.cross(p.vertices, g).sum(axis=0)
         assert np.linalg.norm(torque) <= 1e-8 * max(1.0, scale)
+        # the energy is scale-invariant, so g is orthogonal to the dilation field
+        centred = p.vertices - p.vertices.mean(axis=0)
+        assert abs(np.sum(centred * g)) <= 1e-8 * max(1.0, scale)
 
     def test_regular_ngon_is_critical(self):
         for n in (4, 7, 16):
@@ -62,6 +69,19 @@ class TestGradient:
         v[4] = v[0] + 1e-12
         with pytest.raises((DoublePointError, InputError)):
             mk.energy_gradient(mk.ClosedPolygon(v))
+
+
+@pytest.mark.parametrize("kernel", [mk.discrete_moebius_energy, mk.energy_gradient])
+def test_pair_kernel_peak_memory(kernel):
+    # an (n, n, d) difference tensor alone would take 8 d n^2 bytes
+    p = mk.random_equilateral_polygon(1024, dim=3, seed=0)
+    tracemalloc.start()
+    try:
+        kernel(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 8 * p.n**2
 
 
 class TestProjection:
