@@ -193,6 +193,10 @@ def cmd_minimize(args) -> int:
         f"gap to regular n-gon {format_value(trace.energy_gap)}"
         f" after {trace.iterations} iterations ({trace.termination})"
     )
+    if trace.termination == "max_iterations":
+        print(f"error: descent hit the iteration budget of {args.max_iter} without converging",
+              file=sys.stderr)
+        return 3
     return 0
 
 

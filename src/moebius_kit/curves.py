@@ -66,14 +66,14 @@ class ParametricCurve:
         u = np.mod(np.atleast_1d(np.asarray(u, dtype=float)), 1.0)
         return np.asarray(self.derivative(u), dtype=float)
 
-    def validate(self, grid: int = 2048) -> None:
-        """Check periodicity and non-degeneracy on a sample grid."""
+    def validate(self) -> None:
+        """Check periodicity and non-degeneracy on a 2048-point sample grid."""
         p0 = self(np.array([0.0]))
         p1 = self(np.array([1.0 - 1e-15]))
         scale = max(1.0, float(np.max(np.abs(p0))))
         if np.max(np.abs(p0 - p1)) > 1e-12 * scale:
             raise InputError(f"curve kind {self.kind!r} is not periodic at the endpoints")
-        pts = self(np.arange(grid) / grid)
+        pts = self(np.arange(2048) / 2048)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(steps == 0.0):
             idx = int(np.argmin(steps))
@@ -248,17 +248,19 @@ def parametric_from_descriptor(descriptor: dict) -> ParametricCurve:
     Accepts {"kind": ..., "params": {...}} or the {"samples": [...]}
     shorthand for tabulated curves.
     """
+    if not isinstance(descriptor, dict):
+        raise InputError(f"curve descriptor must be a JSON object, not {type(descriptor).__name__}")
     if "samples" in descriptor and "kind" not in descriptor:
-        return from_samples(descriptor["samples"])
+        descriptor = {"kind": "samples", "params": {"samples": descriptor["samples"]}}
     kind = descriptor.get("kind")
     if kind not in _CATALOG:
         raise InputError(f"unknown curve kind {kind!r}; expected one of {sorted(_CATALOG)}")
-    params = dict(descriptor.get("params", {}))
-    if kind == "samples":
-        return from_samples(params["samples"])
+    params = descriptor.get("params", {})
+    if not isinstance(params, dict):
+        raise InputError(f"curve params must be a JSON object, not {type(params).__name__}")
     try:
         return _CATALOG[kind](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"bad parameters for curve kind {kind!r}: {exc}") from None
 
 
@@ -306,8 +308,6 @@ class ArcLengthCurve:
         if np.isscalar(s) or np.ndim(s) == 0:
             return pts[0]
         return pts
-
-    __call__ = eval
 
     def point_at(self, s: float) -> np.ndarray:
         """Scalar fast path used by sequential marching code."""
@@ -364,13 +364,12 @@ def _cumulative_chords(curve: ParametricCurve, intervals: int) -> np.ndarray:
 
 
 def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
-                            tol: float = 1e-9, diagnostics: bool = True) -> ArcLengthCurve:
+                            tol: float = 1e-9) -> ArcLengthCurve:
     """Reparametrize a closed curve by arc length.
 
     Cumulative length is refined (doubling the table) until two successive
     total-length estimates differ by less than ``tol * L``.  The returned
-    curve carries sampled curvature and bi-Lipschitz diagnostics unless
-    ``diagnostics`` is disabled.
+    curve carries sampled curvature and bi-Lipschitz diagnostics.
     """
     if nodes < 256:
         raise InputError("need at least 256 table nodes")
@@ -405,12 +404,11 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
     u_table = np.arange(intervals + 1) / intervals
     s_table = np.concatenate([[0.0], np.cumsum(seg)])
     out = ArcLengthCurve(curve, u_table, s_table)
-    if diagnostics:
-        out.bilipschitz = bilipschitz_estimate(out)
-        try:
-            out.curvature_max = curvature_bound(out)
-        except InputError:
-            out.curvature_max = None
+    out.bilipschitz = bilipschitz_estimate(out)
+    try:
+        out.curvature_max = curvature_bound(out)
+    except InputError:
+        out.curvature_max = None
     return out
 
 
@@ -426,12 +424,13 @@ def curvature_bound(curve: ArcLengthCurve, grid: int = 1024) -> float:
     return 1.05 * kmax
 
 
-def bilipschitz_estimate(curve: ArcLengthCurve, grid: int = 512) -> float:
-    """Sampled bound C with d(s,t) <= C |gamma(t) - gamma(s)|, inflated by 1.05.
+def bilipschitz_estimate(curve: ArcLengthCurve) -> float:
+    """Sampled bound C with d(s,t) <= C |gamma(t) - gamma(s)| on 512 points, inflated by 1.05.
 
     Raises :class:`NotEmbeddedError` when a far-apart parameter pair maps to
     (nearly) the same point.
     """
+    grid = 512
     L = curve.length
     s = np.arange(grid) * (L / grid)
     pts = curve.eval(s)
@@ -448,7 +447,7 @@ def bilipschitz_estimate(curve: ArcLengthCurve, grid: int = 512) -> float:
     return 1.05 * float(ratio.max())
 
 
-def load_curve(source, nodes: int = 16384, tol: float = 1e-9) -> ArcLengthCurve:
+def load_curve(source, nodes: int = 16384) -> ArcLengthCurve:
     """Load a curve descriptor (path, JSON string, or dict) and reparametrize it."""
     if isinstance(source, dict):
         descriptor = source
@@ -463,7 +462,7 @@ def load_curve(source, nodes: int = 16384, tol: float = 1e-9) -> ArcLengthCurve:
             descriptor = json.loads(text)
         except (TypeError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot parse curve descriptor: {exc}") from None
-    return arclength_reparametrize(parametric_from_descriptor(descriptor), nodes=nodes, tol=tol)
+    return arclength_reparametrize(parametric_from_descriptor(descriptor), nodes=nodes)
 
 
 def unit_circle(length: float = 1.0, dim: int = 2) -> ArcLengthCurve:

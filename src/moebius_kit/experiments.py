@@ -51,6 +51,12 @@ def _write_rows_csv(path, header, rows) -> None:
             writer.writerow([x if isinstance(x, (int, str)) else repr(float(x)) for x in row])
 
 
+def _write_json(path, data: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(data, fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
 def _write_plot_columns(path, pairs) -> None:
     """Two-column whitespace-separated data, one point per line (gnuplot-ready)."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -87,21 +93,19 @@ class ConvergenceReport:
         _write_rows_csv(path, ["n", "energy", "gap"], self.rows)
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     def write_plot_data(self, path) -> None:
         _write_plot_columns(path, [(n, g) for n, _, g in self.rows])
 
 
 def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform",
-                      quad_tol: float = 1e-8, inscribe_tol: float = 1e-9) -> ConvergenceReport:
+                      quad_tol: float = 1e-8) -> ConvergenceReport:
     """Discrete energies of inscribed polygons against the smooth energy.
 
-    ``mode`` picks uniform-parameter or equilateral inscription.  The gap
-    column is |E - E_n| and the fitted decay rate should sit near 1 for
-    curves with bounded curvature.
+    ``mode`` picks uniform-parameter or equilateral inscription (chord
+    tolerance 1e-9).  The gap column is |E - E_n| and the fitted decay
+    rate should sit near 1 for curves with bounded curvature.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 5 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -114,7 +118,7 @@ def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform",
         if mode == "uniform":
             polygon, _ = inscribe_uniform(curve, n)
         else:
-            polygon, _ = inscribe_equilateral(curve, n, tol=inscribe_tol)
+            polygon, _ = inscribe_equilateral(curve, n, tol=1e-9)
         e_n = discrete_moebius_energy(polygon).value
         rows.append((n, e_n, abs(reference - e_n)))
     rate, intercept = _fit_rate([r[0] for r in rows], [r[2] for r in rows])
@@ -159,30 +163,29 @@ class GammaRecoveryReport:
         _write_rows_csv(path, ["n", "energy", "gap", "w1inf_distance"], self.rows)
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     def write_plot_data(self, path) -> None:
         _write_plot_columns(path, [(n, d) for n, _, _, d in self.rows])
 
 
-def gamma_recovery_study(curve: ArcLengthCurve, n_list, quad_tol: float = 1e-8,
-                         inscribe_tol: float = 1e-9) -> GammaRecoveryReport:
+def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
     """Energies and W^{1,inf} distances of equilateral recovery polygons.
 
-    Both the polygon and the curve are rescaled to length 1 before the
-    distance is measured; both columns should shrink to 0 as n grows.
+    The reference is the smooth energy at quadrature tolerance 1e-8 and
+    the polygons are inscribed to chord tolerance 1e-9.  Both the polygon
+    and the curve are rescaled to length 1 before the distance is
+    measured; both columns should shrink to 0 as n grows.
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("need an increasing list of at least 2 polygon sizes")
-    reference = reference_energy(curve, tol=quad_tol)
+    reference = reference_energy(curve)
     L = curve.length
     curve_1 = curve.scaled(1.0 / L)
     rows = []
     for n in n_list:
-        polygon = recovery_sequence(curve, n, tol=inscribe_tol)
+        polygon = recovery_sequence(curve, n, tol=1e-9)
         e_n = discrete_moebius_energy(polygon).value
         dist = curve_distance(
             polygon.scaled(1.0 / polygon.total_length),
@@ -222,9 +225,7 @@ class LiminfReport:
         _write_rows_csv(path, ["n", "energy", "l1_distance", "slack"], self.rows)
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     def write_plot_data(self, path) -> None:
         _write_plot_columns(path, [(n, e) for n, e, _, _ in self.rows])
@@ -239,15 +240,14 @@ def _perturbed_inscribed(curve: ArcLengthCurve, n: int, seed: int) -> ClosedPoly
     return ClosedPolygon(polygon.vertices + (curve.length / n**2) * noise)
 
 
-def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 0,
-                     quad_tol: float = 1e-8, margin: float = 0.1) -> LiminfReport:
+def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 0) -> LiminfReport:
     """Check E(curve) <= E_n + slack along a family converging to the curve in L^1.
 
     ``polygon_family`` is "inscribed", "perturbed", or a callable
     (curve, n) -> polygon.  For inscribed families slack_n = |E - E_n| is
     tautological and serves as a harness sanity check; the substantive
     check is that the tail minimum of E_n does not undercut E by more than
-    ``margin``.
+    0.1 max(1, E).
     """
     n_list = [int(n) for n in n_list]
     if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
@@ -264,7 +264,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     else:
         raise InputError("polygon_family must be 'inscribed', 'perturbed', or callable")
 
-    reference = reference_energy(curve, tol=quad_tol)
+    reference = reference_energy(curve)
     curve_1 = curve.scaled(1.0 / curve.length)
     rows = []
     for n in n_list:
@@ -282,7 +282,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     invalid = not rows[-1][2] < rows[0][2]
     tail = [e for _, e, _, _ in rows[len(rows) // 2:]]
     tail_min = min(tail)
-    liminf_ok = reference <= tail_min + margin * max(1.0, abs(reference))
+    liminf_ok = reference <= tail_min + 0.1 * max(1.0, abs(reference))
     return LiminfReport(rows, reference, family_name, invalid, tail_min, liminf_ok)
 
 
@@ -317,36 +317,33 @@ class MinimizerStudyReport:
         _write_rows_csv(path, header, rows)
 
     def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_json(path, self.to_dict())
 
     def write_plot_data(self, path) -> None:
         _write_plot_columns(path, [(row["n"], row["circle_distance"]) for row in self.rows])
 
 
-def minimizer_study(n_list, seeds=10, dim: int = 3,
+def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
                     cfg: OptimizerConfig | None = None) -> MinimizerStudyReport:
     """Minimize the discrete energy from seeded random equilateral starts.
 
-    For each n, every seed is descended; the best run is compared against
-    the regular n-gon (energy gap, rigid-alignment residual) and, after
-    rescaling to length 1, against the round circle in W^{1,inf}.  A row is
-    flagged when no seed converged: every run ended at a barrier, a stall
-    or the iteration budget.
+    For each n, seeds 0 .. seeds - 1 are descended; the best run is
+    compared against the regular n-gon (energy gap, rigid-alignment
+    residual) and, after rescaling to length 1, against the round circle in
+    W^{1,inf}.  A row is flagged when no seed converged: every run ended at
+    a barrier, a stall or the iteration budget.
     """
     n_list = [int(n) for n in n_list]
     if any(not 4 <= n <= 64 for n in n_list):
         raise InputError("n_list must lie within [4, 64]")
-    seed_list = list(range(int(seeds))) if isinstance(seeds, int) else [int(s) for s in seeds]
-    if len(seed_list) < 10:
+    if int(seeds) < 10:
         raise InputError("need at least 10 seeds")
 
     report = MinimizerStudyReport()
     for n in n_list:
         best = None
         terminations = []
-        for seed in seed_list:
+        for seed in range(int(seeds)):
             start = random_equilateral_polygon(n, dim=dim, seed=seed)
             trace = minimize_discrete_energy(start, cfg)
             terminations.append(trace.termination)
@@ -382,9 +379,6 @@ def minimizer_study(n_list, seeds=10, dim: int = 3,
 class AlmostMinimizerVerdict:
     passed: bool
     reasons: tuple[str, ...]
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def almost_minimizer_check(values, inf_values, limit_value: float,

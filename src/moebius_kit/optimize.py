@@ -27,20 +27,11 @@ from .polygon import ClosedPolygon, inverse_square_chords
 class OptimizerConfig:
     max_iterations: int = 5000
     initial_step: float | None = None       # auto: 0.02 * L^2 / n^2 when None
-    armijo_factor: float = 1e-4
-    shrink_factor: float = 0.5
-    grow_factor: float = 1.3
     grad_tol: float = 1e-9
     energy_tol: float = 1e-14
-    projection_tol: float = 1e-12
-    seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.armijo_factor < 1.0:
-            raise InputError("Armijo factor must lie in (0, 1)")
-        if not 0.0 < self.shrink_factor < 1.0:
-            raise InputError("shrink factor must lie in (0, 1)")
-        for name in ("grad_tol", "energy_tol", "projection_tol"):
+        for name in ("grad_tol", "energy_tol"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
 
@@ -111,13 +102,13 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     return grad
 
 
-def project_equilateral_closed(vertices, projection_tol: float = 1e-12,
-                               max_sweeps: int = 10_000) -> ClosedPolygon:
+def project_equilateral_closed(vertices) -> ClosedPolygon:
     """Project a vertex chain onto closed polygons with n equal edges.
 
     Alternates renormalizing every edge to L/n with subtracting the mean
     edge vector until the closure residual and the relative edge deviation
-    both drop below tolerance; the result keeps the input's vertex centroid.
+    both drop below 1e-12, within 10k sweeps; the result keeps the input's
+    vertex centroid.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):
@@ -133,14 +124,14 @@ def project_equilateral_closed(vertices, projection_tol: float = 1e-12,
     target = lengths.sum() / n
 
     residuals = []
-    for _ in range(max_sweeps):
+    for _ in range(10_000):
         e *= target / np.linalg.norm(e, axis=1)[:, None]
         mean = e.mean(axis=0)
         e -= mean
         residual = float(np.linalg.norm(e.sum(axis=0)))
         deviation = float(np.max(np.abs(np.linalg.norm(e, axis=1) - target))) / target
         residuals.append(residual)
-        if residual < projection_tol and deviation < 1e-12:
+        if residual < 1e-12 and deviation < 1e-12:
             break
     else:
         raise ConvergenceError(
@@ -156,15 +147,14 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
     """Projected gradient descent for the discrete energy over the equilateral class.
 
     Steps along the negative gradient, projects back onto the constraint,
-    and accepts by an Armijo sufficient-decrease test.  Terminates on the
+    and accepts by an Armijo sufficient-decrease test with factor 1e-4; a
+    rejected step is halved and an accepted one grown by 1.3.  Terminates on the
     gradient norm, the energy decrease, the iteration budget, a collapsed
     step ("stalled"), or an approach to a double point ("barrier").
     """
     cfg = cfg or OptimizerConfig()
     cert = p0.equilaterality()
-    p = p0 if cert.max_edge_deviation <= 1e-12 else project_equilateral_closed(
-        p0.vertices, cfg.projection_tol
-    )
+    p = p0 if cert.max_edge_deviation <= 1e-12 else project_equilateral_closed(p0.vertices)
     L = p.total_length
     n = p.n
     step = cfg.initial_step if cfg.initial_step is not None else 0.02 * L**2 / n**2
@@ -193,15 +183,15 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         accepted = False
         while step >= 1e-16 * L:
             try:
-                candidate = project_equilateral_closed(p.vertices - step * grad, cfg.projection_tol)
+                candidate = project_equilateral_closed(p.vertices - step * grad)
                 cand_energy = discrete_moebius_energy(candidate).value
             except (DoublePointError, ConvergenceError, InputError):
-                step *= cfg.shrink_factor
+                step *= 0.5
                 continue
-            if cand_energy <= energy - cfg.armijo_factor * step * gsq:
+            if cand_energy <= energy - 1e-4 * step * gsq:
                 accepted = True
                 break
-            step *= cfg.shrink_factor
+            step *= 0.5
         if not accepted:
             trace.termination = "stalled"
             break
@@ -211,7 +201,7 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         if decrease < cfg.energy_tol * max(1.0, abs(energy)):
             trace.termination = "energy_tol"
             break
-        step *= cfg.grow_factor
+        step *= 1.3
     else:
         trace.termination = "max_iterations"
 

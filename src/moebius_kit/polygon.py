@@ -79,8 +79,6 @@ class ClosedPolygon:
         out = self.vertices[idx] + (t - self.arc_params[idx])[:, None] * self.unit_edges()[idx]
         return out
 
-    __call__ = eval
-
     def tangent_at(self, t):
         """Unit edge direction containing arc parameter t (right-continuous at vertices)."""
         t = np.mod(np.atleast_1d(np.asarray(t, dtype=float)), self.total_length)
@@ -231,9 +229,6 @@ class CurveDistanceResult(NamedTuple):
 
     value: float
     refinement_delta: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def _as_sampler(obj):

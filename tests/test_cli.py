@@ -136,6 +136,34 @@ def test_minimize_reproducible(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_minimize_iteration_budget_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    rc = main(["minimize", "--n", "8", "--seed", "0", "--max-iter", "1", "--out-dir", str(out)])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2
+    assert "(max_iterations)" in captured.out
+    assert captured.err.startswith("error:")
+    for name in ("trace.csv", "final-polygon.json", "run-manifest.json"):
+        assert (out / name).exists()
+
+
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        {"kind": "samples", "params": {}},
+        [1, 2],
+        {"kind": "circle", "params": [1.0]},
+        {"samples": [[1.0, 2.0], [3.0]]},
+    ],
+)
+def test_bad_curve_descriptor_exits_1(descriptor, tmp_path, capsys):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(descriptor))
+    assert main(["energy", "--curve", str(path), "--kind", "smooth"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_study_rate(circle_path, tmp_path, capsys):
     out = tmp_path / "rate"
     rc = main(["study", "rate", "--curve", circle_path, "--n", "8:128:x2",

@@ -129,6 +129,29 @@ class TestMinimumDistanceEnergy:
         assert rep.value == 0.0
         assert rep.diagnostics.get("vacuous_sum") is True
 
+    def test_random_polygon_against_brute_force(self):
+        def potential(vertices):
+            n = len(vertices)
+            segs = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
+            lengths = [np.linalg.norm(b - a) for a, b in segs]
+            return math.fsum(
+                lengths[i] * lengths[j] / mk.segment_distance(segs[i], segs[j]) ** 2
+                for i in range(n)
+                for j in range(n)
+                if min((j - i) % n, (i - j) % n) >= 2
+            )
+
+        p = mk.random_equilateral_polygon(9, dim=3, seed=4)
+        radius = p.total_length / (2 * 9 * math.sin(math.pi / 9))
+        angles = 2 * math.pi * np.arange(9) / 9
+        regular = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        rep = mk.minimum_distance_energy(p)
+        assert rep.diagnostics["potential"] == pytest.approx(potential(p.vertices), rel=1e-12)
+        assert rep.diagnostics["regular_ngon_potential"] == pytest.approx(
+            potential(regular), rel=1e-12
+        )
+        assert rep.value == pytest.approx(potential(p.vertices) - potential(regular), rel=1e-12)
+
     def test_term_matrix_resums_to_value(self):
         rect = mk.ClosedPolygon([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]])
         rep = mk.minimum_distance_energy(rect, keep_terms=True)
