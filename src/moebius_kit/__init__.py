@@ -72,7 +72,6 @@ from .optimize import (
 )
 from .polygon import (
     ClosedPolygon,
-    CurveDistanceResult,
     EquilateralityCertificate,
     chord_length_regular,
     curve_distance,

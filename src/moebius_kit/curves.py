@@ -1,7 +1,7 @@
 """Smooth closed curves: catalog, arc-length reparametrization, diagnostics.
 
-A curve enters as a periodic evaluator over the unit parameter interval
-(:class:`ParametricCurve`) and is converted to a unit-speed
+A curve enters as a periodic evaluator and its derivative over the unit
+parameter interval (:class:`ParametricCurve`) and is converted to a unit-speed
 :class:`ArcLengthCurve` via a monotone lookup table.  The diagnostics
 exposed here (curvature bound, bi-Lipschitz constant) are sampled
 estimates inflated by a 5% safety factor and are used downstream only as
@@ -46,23 +46,21 @@ class ParametricCurve:
     """Closed curve given by a periodic evaluator u in [0, 1) -> R^d.
 
     ``point`` must accept numpy arrays of parameters and return an
-    (m, dim) array.  ``derivative`` (optional) is d point / du with the
-    same calling convention.
+    (m, dim) array.  ``derivative`` is d point / du with the same calling
+    convention.
     """
 
     point: Callable
     kind: str
     params: dict
     dim: int
-    derivative: Callable | None = None
+    derivative: Callable
 
     def __call__(self, u):
         u = np.mod(np.atleast_1d(np.asarray(u, dtype=float)), 1.0)
         return np.asarray(self.point(u), dtype=float)
 
     def velocity(self, u):
-        if self.derivative is None:
-            raise InputError(f"curve kind {self.kind!r} has no derivative evaluator")
         u = np.mod(np.atleast_1d(np.asarray(u, dtype=float)), 1.0)
         return np.asarray(self.derivative(u), dtype=float)
 
@@ -322,15 +320,9 @@ class ArcLengthCurve:
         return self.source(min(max(u, 0.0), 1.0))[0]
 
     def tangent(self, s):
-        """Unit tangent at arc length s, via the source derivative when available."""
-        s_arr = np.atleast_1d(s)
-        if self.source.derivative is not None:
-            vel = self.source.velocity(self._param(s_arr))
-            out = vel / np.linalg.norm(vel, axis=1)[:, None]
-        else:
-            h = 1e-6 * self.length
-            out = (self.eval(s_arr + h) - self.eval(s_arr - h)) / (2.0 * h)
-            out /= np.linalg.norm(out, axis=1)[:, None]
+        """Unit tangent at arc length s, from the source derivative."""
+        vel = self.source.velocity(self._param(np.atleast_1d(s)))
+        out = vel / np.linalg.norm(vel, axis=1)[:, None]
         if np.isscalar(s) or np.ndim(s) == 0:
             return out[0]
         return out
@@ -341,7 +333,7 @@ class ArcLengthCurve:
             raise InputError("scale factor must be positive")
         src = self.source
         point = lambda u: factor * src(u)
-        deriv = None if src.derivative is None else (lambda u: factor * src.velocity(u))
+        deriv = lambda u: factor * src.velocity(u)
         scaled_src = ParametricCurve(point, src.kind, dict(src.params, scale=factor), src.dim, deriv)
         kmax = None if self.curvature_max is None else self.curvature_max / factor
         return ArcLengthCurve(scaled_src, self.u_table, factor * self.s_table, kmax, self.bilipschitz)
@@ -355,12 +347,6 @@ def _cumulative_gauss(curve: ParametricCurve, intervals: int) -> np.ndarray:
         speeds = np.linalg.norm(curve.velocity(base + x / intervals), axis=1)
         seg += w * speeds / intervals
     return seg
-
-
-def _cumulative_chords(curve: ParametricCurve, intervals: int) -> np.ndarray:
-    u = np.arange(intervals + 1) / intervals
-    pts = curve(u)
-    return np.linalg.norm(np.diff(pts, axis=0), axis=1)
 
 
 def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
@@ -377,12 +363,11 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
         raise InputError("tol must be positive")
     curve.validate()
 
-    measure = _cumulative_gauss if curve.derivative is not None else _cumulative_chords
     intervals = int(nodes)
-    seg = measure(curve, intervals)
+    seg = _cumulative_gauss(curve, intervals)
     total = float(seg.sum())
     for _ in range(16):
-        seg2 = measure(curve, 2 * intervals)
+        seg2 = _cumulative_gauss(curve, 2 * intervals)
         total2 = float(seg2.sum())
         if abs(total2 - total) < tol * max(total2, 1e-300):
             break

@@ -357,7 +357,7 @@ def moebius_inversion(obj, center, radius: float):
         dim = obj.dim
     elif isinstance(obj, ParametricCurve):
         base_point = obj
-        base_vel = obj.velocity if obj.derivative is not None else None
+        base_vel = obj.velocity
         kind = obj.kind
         params = dict(obj.params)
         dim = obj.dim
@@ -379,15 +379,12 @@ def moebius_inversion(obj, center, radius: float):
         rho2 = np.einsum("ij,ij->i", w, w)
         return c + r2 * w / rho2[:, None]
 
-    deriv = None
-    if base_vel is not None:
-
-        def deriv(u):
-            w = base_point(u) - c
-            v = base_vel(u)
-            rho2 = np.einsum("ij,ij->i", w, w)
-            wv = np.einsum("ij,ij->i", w, v)
-            return r2 * (v / rho2[:, None] - 2.0 * w * (wv / rho2**2)[:, None])
+    def deriv(u):
+        w = base_point(u) - c
+        v = base_vel(u)
+        rho2 = np.einsum("ij,ij->i", w, w)
+        wv = np.einsum("ij,ij->i", w, v)
+        return r2 * (v / rho2[:, None] - 2.0 * w * (wv / rho2**2)[:, None])
 
     return ParametricCurve(
         point,

@@ -193,7 +193,7 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
             norm="W1q",
             q=math.inf,
             grid=2 * max(n, 256),
-        ).value
+        )
         rows.append((n, e_n, abs(reference - e_n), dist))
     return GammaRecoveryReport(rows, reference, curve.kind)
 
@@ -276,7 +276,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
             norm="Lq",
             q=1,
             grid=2 * max(n, 256),
-        ).value
+        )
         rows.append((n, e_n, dist, abs(reference - e_n)))
 
     invalid = not rows[-1][2] < rows[0][2]
@@ -357,7 +357,7 @@ def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
         circle = unit_circle(1.0, dim=polygon.dim)
         rescaled = polygon.scaled(1.0 / polygon.total_length)
         aligned, _ = align_rigid(rescaled, circle)
-        dist = curve_distance(aligned, circle, norm="W1q", q=math.inf).value
+        dist = curve_distance(aligned, circle, norm="W1q", q=math.inf)
         report.rows.append(
             {
                 "n": n,

@@ -4,7 +4,8 @@ Equilateral inscription shoots in the common chord length c: vertices are
 marched along the curve so every chord has length c (each step is a
 bracketed root find on the monotone initial stretch, bounded by the
 bi-Lipschitz step estimate), and an outer root find on c closes the
-polygon.  Everything is deterministic for a fixed curve and n.
+polygon.  Each chord length is marched at most once per inscription.
+Everything is deterministic for a fixed curve and n.
 """
 
 from __future__ import annotations
@@ -152,9 +153,15 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
     step_factor = 1.25 * cb
 
     start = curve.point_at(0.0)
+    marches = {}
+
+    def march(c: float) -> np.ndarray:
+        if c not in marches:
+            marches[c] = np.array(_march(curve, n, c, step_factor * c))
+        return marches[c]
 
     def defect(c: float) -> float:
-        b = _march(curve, n, c, step_factor * c)
+        b = march(c)
         if len(b) < n:
             # no root within the step bound: c beyond the feature size
             return -(n - len(b)) * c - c
@@ -165,7 +172,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
 
     c_lo = L / (2.0 * n * cb)
     c_hi = 2.0 * L / n
-    if len(_march(curve, n, c_lo, step_factor * c_lo)) < n:
+    if len(march(c_lo)) < n:
         raise InputError(
             f"n={n} too small for equilateral inscription: chord {c_lo:.6g} exceeds feature size"
         )
@@ -178,10 +185,11 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
         )
     c_star = brentq(defect, c_lo, c_hi, xtol=tol * (L / n) / (4.0 * n), rtol=4 * np.finfo(float).eps)
 
-    b_list = _march(curve, n, c_star, step_factor * c_star)
-    if len(b_list) < n:
+    # brentq returns a point it evaluated, so this march is a lookup
+    b = march(c_star)
+    if len(b) < n:
         raise ConvergenceError(f"equilateral inscription for n={n} landed outside the feasible range")
-    polygon, spec = _spec_from_params(curve, np.asarray(b_list))
+    polygon, spec = _spec_from_params(curve, b)
     dev = np.abs(spec.chords - c_star) / c_star
     if float(dev.max()) > tol:
         raise ConvergenceError(

@@ -1,8 +1,10 @@
 """Minimization of the discrete Moebius energy over equilateral closed polygons.
 
 Projected gradient descent: Euclidean gradient of the discrete energy,
-alternating projection back onto the equal-edge-length closure
-constraint, and an Armijo backtracking line search.  The descent only
+projection back onto closed equilateral polygons by the alternating
+projection :func:`polygon.close_equilateral` (the random sampler's closure
+too), and an Armijo backtracking line search.  The trace records the
+start and the state after each accepted step.  The descent only
 visits equilateral polygons, where the arc-distance part of the energy
 has zero gradient, so the gradient is that of the chord part alone (see
 :func:`energy_gradient`).  Rigid alignment utilities compare minimizers
@@ -20,7 +22,7 @@ import numpy as np
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
-from .polygon import ClosedPolygon, inverse_square_chords
+from .polygon import ClosedPolygon, close_equilateral, inverse_square_chords
 
 
 @dataclass(frozen=True)
@@ -38,12 +40,11 @@ class OptimizerConfig:
 
 @dataclass
 class DescentTrace:
-    """Per-iteration descent record; energies are non-increasing over accepted steps."""
+    """Descent record, one row per visited state; energies are non-increasing."""
 
     energies: list[float] = field(default_factory=list)
     grad_norms: list[float] = field(default_factory=list)
     steps: list[float] = field(default_factory=list)
-    projection_residuals: list[float] = field(default_factory=list)
     final_polygon: ClosedPolygon | None = None
     termination: str = ""
     energy_gap: float = math.nan          # final energy minus the regular n-gon value
@@ -51,7 +52,8 @@ class DescentTrace:
 
     @property
     def iterations(self) -> int:
-        return len(self.energies)
+        """Accepted steps: the trace holds the start and the state after each."""
+        return len(self.energies) - 1
 
     def write_csv(self, path) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -103,43 +105,24 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
 
 
 def project_equilateral_closed(vertices) -> ClosedPolygon:
-    """Project a vertex chain onto closed polygons with n equal edges.
+    """Project a vertex chain onto closed polygons with n edges of the mean input length.
 
-    Alternates renormalizing every edge to L/n with subtracting the mean
-    edge vector until the closure residual and the relative edge deviation
-    both drop below 1e-12, within 10k sweeps; the result keeps the input's
-    vertex centroid.
+    The chain's edges are closed by :func:`polygon.close_equilateral`
+    (edge deviation and closure residual below 1e-12); the result keeps
+    the input's vertex centroid.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):
         v = vertices.vertices
     if v.ndim != 2 or v.shape[0] < 3:
         raise InputError("need at least 3 vertices")
-    n = v.shape[0]
-    centroid = v.mean(axis=0)
     e = np.roll(v, -1, axis=0) - v
     lengths = np.linalg.norm(e, axis=1)
     if np.any(lengths == 0.0):
         raise InputError("degenerate chain: repeated consecutive vertices")
-    target = lengths.sum() / n
-
-    residuals = []
-    for _ in range(10_000):
-        e *= target / np.linalg.norm(e, axis=1)[:, None]
-        mean = e.mean(axis=0)
-        e -= mean
-        residual = float(np.linalg.norm(e.sum(axis=0)))
-        deviation = float(np.max(np.abs(np.linalg.norm(e, axis=1) - target))) / target
-        residuals.append(residual)
-        if residual < 1e-12 and deviation < 1e-12:
-            break
-    else:
-        raise ConvergenceError(
-            f"equilateral projection stalled; last residuals {['%.3e' % r for r in residuals[-5:]]}"
-        )
-
+    e = close_equilateral(e, lengths.sum() / v.shape[0])
     out = np.vstack([np.zeros(v.shape[1]), np.cumsum(e[:-1], axis=0)])
-    out += centroid - out.mean(axis=0)
+    out += v.mean(axis=0) - out.mean(axis=0)
     return ClosedPolygon(out)
 
 
@@ -170,11 +153,9 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
             break
         gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
         gsq = float((grad * grad).sum())
-        resid = p.equilaterality().closure_residual
         trace.energies.append(energy)
         trace.grad_norms.append(gnorm)
         trace.steps.append(step)
-        trace.projection_residuals.append(resid)
 
         if gnorm < cfg.grad_tol:
             trace.termination = "gradient_tol"
@@ -215,7 +196,6 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         trace.energies.append(energy)
         trace.grad_norms.append(gnorm)
         trace.steps.append(step)
-        trace.projection_residuals.append(p.equilaterality().closure_residual)
     return trace
 
 

@@ -1,4 +1,10 @@
-"""Closed polygons, regular n-gons, random equilateral sampling, curve distances."""
+"""Closed polygons, regular n-gons, equilateral closure, random sampling, curve distances.
+
+:func:`close_equilateral` is the one alternating projection onto closed
+equilateral chains: the random sampler closes Gaussian edges to unit
+length with it, and the descent's projection closes a vertex chain to its
+mean edge length.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,6 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -184,12 +189,38 @@ def chord_length_regular(n: int, k: int, length: float = 1.0) -> float:
     return length * math.sin(k * math.pi / n) / (n * math.sin(math.pi / n))
 
 
+def close_equilateral(edges, length: float) -> np.ndarray:
+    """Edge vectors of a closed chain of n edges of the given length.
+
+    Starts from the edge vectors ``edges`` and alternates renormalizing
+    every edge to ``length`` with subtracting the mean edge, until the
+    relative edge deviation and the closure residual |sum of edges| both
+    drop below 1e-12, within 10k sweeps.  The edge norms of each sweep's
+    deviation check scale the next sweep's edges.  Raises
+    :class:`ConvergenceError` when an edge collapses below 1e-8 * length
+    or the sweeps run out.
+    """
+    e = np.array(edges, dtype=float)
+    norms = np.linalg.norm(e, axis=1)
+    for _ in range(10_000):
+        if np.any(norms < 1e-8 * length):
+            raise ConvergenceError(f"equilateral closure collapsed edge {int(np.argmin(norms))}")
+        e *= (length / norms)[:, None]
+        e -= e.mean(axis=0)
+        norms = np.linalg.norm(e, axis=1)
+        deviation = float(np.max(np.abs(norms - length))) / length
+        if deviation < 1e-12 and float(np.linalg.norm(e.sum(axis=0))) < 1e-12:
+            return e
+    raise ConvergenceError(f"equilateral closure stalled at edge deviation {deviation:.3e}")
+
+
 def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPolygon:
     """Seeded random closed polygon with n unit edges.
 
-    Unit direction vectors are drawn from the seeded generator and closed
-    up by alternating mean-subtraction and renormalization; vertices are
-    the partial sums.  Deterministic for a fixed seed.
+    Gaussian edge vectors are drawn from the seeded generator and closed
+    up by :func:`close_equilateral`; a draw that collapses, stalls or
+    comes within 1e-9 of a double point is redrawn.  Deterministic for a
+    fixed seed.
     """
     if n < 3:
         raise InputError("a polygon needs n >= 3")
@@ -197,38 +228,14 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
         raise InputError("dim must be 2 or 3")
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
-        u = rng.standard_normal((n, dim))
-        norms = np.linalg.norm(u, axis=1)
-        if np.any(norms < 1e-8):
-            continue
-        u /= norms[:, None]
-        ok = False
-        for _ in range(10_000):
-            residual = np.linalg.norm(u.sum(axis=0))
-            if residual < 1e-12:
-                ok = True
-                break
-            u -= u.mean(axis=0)
-            norms = np.linalg.norm(u, axis=1)
-            if np.any(norms < 1e-8):
-                break
-            u /= norms[:, None]
-        if not ok:
-            continue
-        polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(u[:-1], axis=0)]))
         try:
+            e = close_equilateral(rng.standard_normal((n, dim)), 1.0)
+            polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(e[:-1], axis=0)]))
             inverse_square_chords(polygon, 1e-9)
-        except DoublePointError:
+        except (ConvergenceError, DoublePointError):
             continue
         return polygon
     raise ConvergenceError(f"could not close a random equilateral {n}-gon for seed {seed}")
-
-
-class CurveDistanceResult(NamedTuple):
-    """Sampled norm distance plus a half-grid refinement estimate."""
-
-    value: float
-    refinement_delta: float
 
 
 def _as_sampler(obj):
@@ -240,13 +247,13 @@ def _as_sampler(obj):
     raise InputError(f"cannot measure distances on {type(obj).__name__}")
 
 
-def curve_distance(f, g, norm: str = "Lq", q=2, grid: int | None = None) -> CurveDistanceResult:
+def curve_distance(f, g, norm: str = "Lq", q=2, grid: int | None = None) -> float:
     """L^q or W^{1,q} distance between two closed unit-speed curves of equal length.
 
-    Both inputs must have the same total length (rescale first).  Values
-    are composite-midpoint approximations; for polygons the derivative is
-    the exact edge direction, sampled strictly inside edges.  q may be any
-    value in [1, inf].
+    Both inputs must have the same total length (rescale first).  The
+    value is a composite-midpoint approximation on ``grid`` points; for
+    polygons the derivative is the exact edge direction, sampled strictly
+    inside edges.  q may be any value in [1, inf].
     """
     f_eval, f_tan, f_len, f_segs = _as_sampler(f)
     g_eval, g_tan, g_len, g_segs = _as_sampler(g)
@@ -264,17 +271,11 @@ def curve_distance(f, g, norm: str = "Lq", q=2, grid: int | None = None) -> Curv
     if grid < min_grid:
         raise InputError(f"grid must be at least {min_grid} for these inputs")
 
-    def measure(m: int) -> float:
-        s = (np.arange(m) + 0.5) * (f_len / m)
-        gap = np.linalg.norm(f_eval(s) - g_eval(s), axis=1)
-        parts = [gap]
-        if norm == "W1q":
-            parts.append(np.linalg.norm(f_tan(s) - g_tan(s), axis=1))
-        if math.isinf(q):
-            return max(float(p.max()) for p in parts)
-        total = math.fsum(float((p**q).sum()) * (f_len / m) for p in parts)
-        return total ** (1.0 / q)
-
-    value = measure(grid)
-    coarse = measure(max(grid // 2, 2))
-    return CurveDistanceResult(value, abs(value - coarse))
+    s = (np.arange(grid) + 0.5) * (f_len / grid)
+    parts = [np.linalg.norm(f_eval(s) - g_eval(s), axis=1)]
+    if norm == "W1q":
+        parts.append(np.linalg.norm(f_tan(s) - g_tan(s), axis=1))
+    if math.isinf(q):
+        return max(float(p.max()) for p in parts)
+    total = math.fsum(float((p**q).sum()) * (f_len / grid) for p in parts)
+    return total ** (1.0 / q)

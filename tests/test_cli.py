@@ -142,7 +142,7 @@ def test_minimize_iteration_budget_exits_3(tmp_path, capsys):
     assert rc == 3
     captured = capsys.readouterr()
     assert len(captured.out.splitlines()) == 2
-    assert "(max_iterations)" in captured.out
+    assert "after 1 iterations (max_iterations)" in captured.out
     assert captured.err.startswith("error:")
     for name in ("trace.csv", "final-polygon.json", "run-manifest.json"):
         assert (out / name).exists()

@@ -14,7 +14,8 @@ def test_circle_length():
 
 def test_degenerate_curve_rejected():
     point = mk.ParametricCurve(
-        lambda u: np.tile([1.0, 2.0], (np.asarray(u).size, 1)), "custom", {}, 2
+        lambda u: np.tile([1.0, 2.0], (np.asarray(u).size, 1)), "custom", {}, 2,
+        lambda u: np.zeros((np.asarray(u).size, 2)),
     )
     with pytest.raises(InputError):
         mk.arclength_reparametrize(point, nodes=256)

@@ -96,7 +96,7 @@ def test_recovery_tangent_convergence(trefoil):
                 trefoil.scaled(1.0 / trefoil.length),
                 norm="W1q",
                 q=math.inf,
-            ).value
+            )
         )
     assert dists[2] < dists[1] < dists[0]
 
@@ -117,6 +117,21 @@ def test_preconditions(circle_2pi):
         mk.inscribe_uniform(circle_2pi, 2)
     with pytest.raises(InputError):
         mk.inscribe_equilateral(circle_2pi, 8, tol=1e-3)
+
+
+def test_each_chord_length_marched_once(trefoil, monkeypatch):
+    from moebius_kit import inscription
+
+    marched = []
+    march = inscription._march
+
+    def recording(curve, n, c, step_bound):
+        marched.append(c)
+        return march(curve, n, c, step_bound)
+
+    monkeypatch.setattr(inscription, "_march", recording)
+    mk.inscribe_equilateral(trefoil, 64)
+    assert len(marched) == len(set(marched))
 
 
 def test_march_reports_infeasible_chord(trefoil):

@@ -3,9 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moebius_kit as mk
-from moebius_kit.errors import InputError
+from moebius_kit.errors import ConvergenceError, InputError
+from moebius_kit.polygon import close_equilateral
+
+# (n, dim, seed) of a random Gaussian chain
+chains = st.tuples(st.integers(3, 64), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+
+
+def gaussian_chain(n, dim, seed):
+    return np.random.default_rng(seed).standard_normal((n, dim))
 
 
 def test_regular_square():
@@ -73,6 +83,32 @@ def test_random_equilateral_polygon_postconditions():
     assert np.array_equal(p.vertices, again.vertices)
 
 
+@settings(deadline=None)
+@given(chains, st.floats(0.1, 10.0))
+def test_closure_postconditions(chain, length):
+    e = close_equilateral(gaussian_chain(*chain), length)
+    assert np.abs(np.linalg.norm(e, axis=1) - length).max() <= 1e-12 * length
+    assert np.linalg.norm(e.sum(axis=0)) < 1e-12
+
+
+@settings(deadline=None)
+@given(chains)
+def test_projection_keeps_centroid(chain):
+    v = gaussian_chain(*chain)
+    out = mk.project_equilateral_closed(v)
+    assert np.linalg.norm(out.vertices.mean(axis=0) - v.mean(axis=0)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [[[1.0, 0.0], [1.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [2.0, 0.0], [-1.0, 0.0]]],
+    ids=["collapse", "stall"],
+)
+def test_collinear_triangle_cannot_close(edges):
+    with pytest.raises(ConvergenceError):
+        close_equilateral(edges, 1.0)
+
+
 def test_polygon_eval():
     sq = mk.regular_ngon(4, 1.0)
     mid = sq.eval(0.125)[0]
@@ -124,7 +160,7 @@ def test_polygon_csv(tmp_path):
 
 def test_curve_distance_identity(circle_1):
     for norm, q in (("Lq", 1), ("Lq", 2), ("Lq", math.inf), ("W1q", 2), ("W1q", math.inf)):
-        assert mk.curve_distance(circle_1, circle_1, norm=norm, q=q).value == 0.0
+        assert mk.curve_distance(circle_1, circle_1, norm=norm, q=q) == 0.0
 
 
 def test_curve_distance_translated_circle(circle_1):
@@ -132,7 +168,7 @@ def test_curve_distance_translated_circle(circle_1):
     shifted = mk.arclength_reparametrize(
         mk.circle(radius=1.0 / (2 * math.pi), center=(h, 0.0)), nodes=1024, tol=1e-12
     )
-    dist = mk.curve_distance(circle_1, shifted, norm="Lq", q=math.inf).value
+    dist = mk.curve_distance(circle_1, shifted, norm="Lq", q=math.inf)
     assert dist == pytest.approx(h, rel=1e-9)
 
 
@@ -141,18 +177,18 @@ def test_curve_distance_symmetry_and_triangle(circle_1):
     gon1 = gon.scaled(1.0 / gon.total_length)
     gon2 = mk.inscribe_uniform(circle_1, 24)[0]
     gon2 = gon2.scaled(1.0 / gon2.total_length)
-    d_ab = mk.curve_distance(circle_1, gon1, norm="Lq", q=2).value
-    d_ba = mk.curve_distance(gon1, circle_1, norm="Lq", q=2).value
+    d_ab = mk.curve_distance(circle_1, gon1, norm="Lq", q=2)
+    d_ba = mk.curve_distance(gon1, circle_1, norm="Lq", q=2)
     assert d_ab == pytest.approx(d_ba, abs=1e-12)
-    d_ac = mk.curve_distance(circle_1, gon2, norm="Lq", q=2).value
-    d_cb = mk.curve_distance(gon2, gon1, norm="Lq", q=2).value
+    d_ac = mk.curve_distance(circle_1, gon2, norm="Lq", q=2)
+    d_cb = mk.curve_distance(gon2, gon1, norm="Lq", q=2)
     assert d_ab <= d_ac + d_cb + 1e-6
 
 
 def test_curve_distance_w1inf_vs_brute_force(circle_1):
     gon = mk.inscribe_uniform(circle_1, 64)[0]
     gon = gon.scaled(1.0 / gon.total_length)
-    got = mk.curve_distance(circle_1, gon, norm="W1q", q=math.inf, grid=8192).value
+    got = mk.curve_distance(circle_1, gon, norm="W1q", q=math.inf, grid=8192)
 
     # dense-sampling oracle with its own polygon evaluation
     m = 1_000_000
