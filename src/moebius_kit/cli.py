@@ -86,9 +86,11 @@ def parse_n_spec(spec: str) -> list[int]:
     return values
 
 
-def _write_manifest(out_dir: Path, command: str, args, seed=None) -> None:
+def _write_manifest(out_dir: Path, command: str, args, seed=None, unused=()) -> None:
+    """Write ``run-manifest.json``; ``unused`` names parsed settings this run ignored."""
     config = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and not k.startswith("_")
+        k: v for k, v in sorted(vars(args).items())
+        if k != "func" and not k.startswith("_") and k not in unused
     }
     manifest = {
         "command": command,
@@ -158,7 +160,7 @@ def cmd_inscribe(args) -> int:
     out_dir = _ensure_dir(args.out_dir)
     polygon.write_json(out_dir / "polygon.json")
     spec.write_json(out_dir / "subdivision.json")
-    _write_manifest(out_dir, "inscribe", args)
+    _write_manifest(out_dir, "inscribe", args, unused=() if args.equilateral else ("tol",))
     bounds = spec.chord_bounds()
     cert = polygon.equilaterality()
     print(
@@ -187,7 +189,9 @@ def cmd_minimize(args) -> int:
     out_dir = _ensure_dir(args.out_dir)
     trace.write_csv(out_dir / "trace.csv")
     trace.final_polygon.write_json(out_dir / "final-polygon.json")
-    _write_manifest(out_dir, "minimize", args, seed=seed)
+    # a start read from --polygon leaves the random-start settings unused
+    _write_manifest(out_dir, "minimize", args, seed=seed,
+                    unused=("n", "seed", "dim") if args.polygon else ())
     print(format_value(trace.energies[-1]))
     print(
         f"gap to regular n-gon {format_value(trace.energy_gap)}"
@@ -245,7 +249,10 @@ def cmd_study_liminf(args) -> int:
     report = liminf_spotcheck(curve, args.family, parse_n_spec(args.n), seed=args.seed)
     out_dir = _ensure_dir(args.out_dir)
     _study_outputs(report, out_dir, "liminf", args.plot_data)
-    _write_manifest(out_dir, "study liminf", args, seed=args.seed)
+    # only the perturbed family draws random numbers
+    perturbed = args.family == "perturbed"
+    _write_manifest(out_dir, "study liminf", args, seed=args.seed if perturbed else None,
+                    unused=() if perturbed else ("seed",))
     print(f"liminf check {'ok' if report.liminf_ok else 'violated'} (invalid={report.invalid})")
     return 0
 

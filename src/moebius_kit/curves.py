@@ -308,7 +308,7 @@ class ArcLengthCurve:
         return pts
 
     def point_at(self, s: float) -> np.ndarray:
-        """Scalar fast path used by sequential marching code."""
+        """Point at a single arc length s, without the array round trip of :meth:`eval`."""
         s = math.fmod(s, self.length)
         if s < 0.0:
             s += self.length

@@ -1,11 +1,13 @@
 """Inscribed polygons: uniform subdivisions, equilateral inscriptions, recovery sequences.
 
-Equilateral inscription shoots in the common chord length c: vertices are
-marched along the curve so every chord has length c (each step is a
-bracketed root find on the monotone initial stretch, bounded by the
-bi-Lipschitz step estimate), and an outer root find on c closes the
-polygon.  Each chord length is marched at most once per inscription.
-Everything is deterministic for a fixed curve and n.
+Equilateral inscription shoots in the common chord length c.  For each c
+tried, the chain of vertices b_0 = 0 < b_1 < ... with every chord equal
+to c is one vectorized Newton solve (the chord equations couple
+neighbours only, so each step is a banded O(n) solve), and each vertex is
+certified as the first crossing of the chord length c past its
+predecessor, within the bi-Lipschitz step bound.  An outer root find on c
+closes the polygon.  Each chord length is marched at most once per
+inscription.  Everything is deterministic for a fixed curve and n.
 """
 
 from __future__ import annotations
@@ -15,11 +17,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dtbtrs
 from scipy.optimize import brentq
 
 from .curves import ArcLengthCurve
 from .errors import ConvergenceError, InputError
 from .polygon import ClosedPolygon
+
+_PATIENCE = 10      # Newton steps without a longer certified prefix before a march stops
+_MIN_SLOPE = 1e-3   # floor of the Jacobian diagonal
 
 
 @dataclass(frozen=True)
@@ -89,49 +95,89 @@ def inscribe_uniform(curve: ArcLengthCurve, n: int) -> tuple[ClosedPolygon, Subd
     return _spec_from_params(curve, b)
 
 
-def _march(curve: ArcLengthCurve, n: int, c: float, step_bound: float) -> list[float]:
-    """March b_{k+1} = first parameter past b_k with chord length c.
+def _march(curve: ArcLengthCurve, n: int, c: float, step_bound: float) -> np.ndarray:
+    """Chain b_0 = 0 < b_1 < ... < b_{n-1} with every chord |gamma(b_{k+1}) - gamma(b_k)| = c.
 
-    The chord from b_k is at most the arc, so b_k + c brackets the root
-    from below; the first sign change past it is located by a forward scan
-    in increments of c/4, capped by the bi-Lipschitz step bound and L/2
-    (beyond which the intrinsic metric wraps and the bound is void).
-    Returns the partial march when no root exists within the cap, meaning
-    c exceeds the curve's feature size at this resolution.
+    All n - 1 chord equations are solved at once by Newton's method from
+    the start b_k = k c.  Equation k involves only b_k and b_{k+1}, so the
+    Jacobian is lower bidiagonal, t(b_{k+1}).u_k on the diagonal and
+    -t(b_k).u_k below it (t the unit tangent, u_k the unit chord), and
+    each step is one O(n) banded solve.  Each new step b_{k+1} - b_k is
+    then kept inside the bracket of :func:`_scan_bracket`, so that Newton
+    cannot pass over a crossing or run off past the cap.
+
+    Vertex b_{k+1} is certified when its step lies in [c/4, cap], its
+    chord equals c to roundoff, and the chord from b_k stays below c at
+    every point b_k + c + j c/4 before b_{k+1}: the vertex is the first
+    crossing of the chord length c past b_k on that grid.  The cap is the
+    bi-Lipschitz step bound, at most L/2 (beyond which the intrinsic
+    metric wraps and the bound is void).  Returns the longest certified
+    prefix; a prefix shorter than n means c exceeds the curve's feature
+    size at this resolution.  Newton stops one step after every vertex is
+    certified (which takes the chords from the tolerance to roundoff, so
+    that residuals do not add up along the chain), or once the certified
+    prefix has not grown for ``_PATIENCE`` steps.
     """
     L = curve.length
     cap = min(step_bound, 0.5 * L)
-    xtol = 1e-15 * L
-    b = [0.0]
-    for _ in range(n - 1):
-        origin = curve.point_at(b[-1])
+    # roundoff in a chord grows with the distance of the points from the origin
+    res_tol = 1e-13 * max(L, float(np.max(np.abs(curve.eval(0.0)))))
+    b = np.arange(n) * c
+    best, stalled, settled = -1, 0, False
+    while True:
+        pts = curve.eval(b)
+        d = np.diff(pts, axis=0)
+        chords = np.linalg.norm(d, axis=1)
+        residual = chords - c
+        steps = np.diff(b)
+        lo, hi, clear = _scan_bracket(curve, b, pts, c, cap, residual, res_tol)
+        converged = (np.abs(residual) <= res_tol) & clear
+        if converged.all() and settled or stalled > _PATIENCE:
+            break
+        settled = converged.all()
+        prefix = n if settled else int(np.argmin(converged))
+        best, stalled = (prefix, 0) if prefix > best else (best, stalled + 1)
+        u = d / chords[:, None]
+        t = curve.tangent(b)
+        bands = np.zeros((2, n - 1))
+        # a floored slope keeps the direction (chord too short: move on) at a tangency
+        bands[0] = np.maximum(np.einsum("ij,ij->i", t[1:], u), _MIN_SLOPE)
+        bands[1, :-1] = -np.einsum("ij,ij->i", t[1:-1], u[1:])
+        # forward substitution: a pivoting banded LU (solve_banded) can underflow to
+        # a zero pivot on a far-from-feasible chain although no diagonal is zero
+        delta, _ = dtbtrs(bands, residual, uplo="L")
+        with np.errstate(invalid="ignore"):   # such a chain can also overflow
+            proposal = np.diff(b[1:] - delta, prepend=0.0)
+        # fmax/fmin map a non-finite proposal into the bracket too
+        b[1:] = np.cumsum(np.fmin(np.fmax(proposal, lo), hi))
+    ok = converged & (steps >= 0.25 * c) & (steps <= cap)
+    bad = np.flatnonzero(~ok)
+    return b if bad.size == 0 else b[: bad[0] + 1]
 
-        def gap(x):
-            d = curve.point_at(x) - origin
-            return math.sqrt(float(d @ d)) - c
 
-        lo = b[-1] + c
-        g_lo = gap(lo)
-        if g_lo == 0.0:
-            b.append(lo)
-            continue
-        if g_lo > 0.0:
-            # roundoff pushed the chord past c already; bracket from inside the arc
-            b.append(float(brentq(gap, b[-1] + 0.25 * c, lo, xtol=xtol)))
-            continue
-        x = lo
-        delta = 0.25 * c
-        root = None
-        while x < b[-1] + cap:
-            x_next = min(x + delta, b[-1] + cap)
-            if gap(x_next) >= 0.0:
-                root = brentq(gap, x, x_next, xtol=xtol)
-                break
-            x = x_next
-        if root is None:
-            return b
-        b.append(float(root))
-    return b
+def _scan_bracket(curve: ArcLengthCurve, b: np.ndarray, pts: np.ndarray, c: float, cap: float,
+                  residual: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bracket the first crossing of the chord length c past each b_k.
+
+    The grid points b_k + c + j c/4 before b_{k+1} - slack are probed.
+    Returns step bounds (lo, hi) and whether every probe's chord is below
+    c.  lo is the last probe before the first one whose chord reaches c
+    (c/4 if no probe comes before it); hi is that probe, else the current
+    step when its chord is at least c, else the cap.
+    """
+    quarter = 0.25 * c
+    steps = np.diff(b)
+    count = np.ceil((steps - slack - c) / quarter).clip(0).astype(int)
+    owner = np.repeat(np.arange(steps.size), count)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(count) - count, count)
+    probe = curve.eval(b[owner] + (c + quarter * j))
+    crossed = np.linalg.norm(probe - pts[owner], axis=1) >= c
+    first = count.copy()
+    np.minimum.at(first, owner[crossed], j[crossed])
+    clear = first == count
+    lo = np.where(first > 0, c + quarter * (first - 1), quarter)
+    hi = np.where(clear, np.where(residual >= 0.0, steps, cap), c + quarter * first)
+    return lo, hi, clear
 
 
 def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
@@ -140,9 +186,10 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
 
     The closure defect (closing chord minus c, or the parameter overshoot
     when the march wraps past the start) changes sign between the bracket
-    ends c in [L/(2n C_b), 2L/n]; the smallest-defect root is taken.  A
-    march that cannot realize a chord of length c counts as overshoot,
-    driving the outer root find toward smaller c.
+    ends c in [L/(2n C_b), 2L/n], and brentq returns a root of it inside
+    that bracket; where the defect has several roots, no particular one is
+    selected.  A march that cannot realize a chord of length c counts as
+    overshoot, driving the outer root find toward smaller c.
     """
     if n < 3:
         raise InputError("need n >= 3")
@@ -157,7 +204,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
 
     def march(c: float) -> np.ndarray:
         if c not in marches:
-            marches[c] = np.array(_march(curve, n, c, step_factor * c))
+            marches[c] = _march(curve, n, c, step_factor * c)
         return marches[c]
 
     def defect(c: float) -> float:

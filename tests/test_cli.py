@@ -108,6 +108,26 @@ def test_inscribe_writes_artifacts(circle_path, tmp_path, capsys):
     assert manifest["command"] == "inscribe"
     assert manifest["versions"]["moebius_kit"] == mk.__version__
     assert "threads" not in manifest
+    assert manifest["config"]["tol"] == 1e-10
+    capsys.readouterr()
+
+
+def test_manifest_records_only_settings_in_effect(circle_path, square_path, tmp_path, capsys):
+    def config(argv):
+        out = tmp_path / argv[0].replace(" ", "-") / str(len(argv))
+        assert main([*argv[0].split(), *argv[1:], "--out-dir", str(out)]) == 0
+        return json.loads((out / "run-manifest.json").read_text())
+
+    uniform = config(["inscribe", "--curve", circle_path, "--n", "16"])
+    assert "tol" not in uniform["config"]
+    given = config(["minimize", "--polygon", square_path])
+    assert not {"n", "seed", "dim"} & set(given["config"])
+    assert given["seed"] is None
+    random_start = config(["minimize", "--n", "4", "--seed", "2"])
+    assert {"n", "seed", "dim"} <= set(random_start["config"])
+    inscribed = config(["study liminf", "--curve", circle_path, "--n", "16,32,64"])
+    assert "seed" not in inscribed["config"]
+    assert inscribed["seed"] is None
     capsys.readouterr()
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import moebius_kit as mk
 from moebius_kit.errors import DoublePointError, InputError
@@ -282,6 +284,57 @@ class TestMinimalitySample:
             for seed in range(5):
                 p = mk.random_equilateral_polygon(n, dim=3, seed=seed)
                 assert mk.discrete_moebius_energy(p).value >= floor - 1e-9
+
+
+# (n, dim, seed) of a random equilateral polygon
+random_polygons = st.tuples(st.integers(3, 32), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+
+
+def _energy(vertices) -> float:
+    return mk.discrete_moebius_energy(mk.ClosedPolygon(vertices)).value
+
+
+class TestInvarianceProperties:
+    """The paper's invariances and the regular n-gon bound over random equilateral polygons."""
+
+    @settings(deadline=None)
+    @given(random_polygons, st.floats(1e-3, 1e3))
+    def test_scale_invariance(self, spec, lam):
+        p = mk.random_equilateral_polygon(*spec)
+        assert _energy(p.scaled(lam).vertices) == pytest.approx(_energy(p.vertices), rel=1e-10, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(random_polygons, st.integers(0, 2**32 - 1))
+    def test_rigid_motion_invariance(self, spec, motion_seed):
+        p = mk.random_equilateral_polygon(*spec)
+        rng = np.random.default_rng(motion_seed)
+        R, _ = np.linalg.qr(rng.standard_normal((p.dim, p.dim)))
+        if np.linalg.det(R) < 0.0:
+            R[:, 0] *= -1.0
+        moved = p.vertices @ R.T + 10.0 * rng.standard_normal(p.dim)
+        assert _energy(moved) == pytest.approx(_energy(p.vertices), rel=1e-10, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(random_polygons, st.integers(0, 31), st.booleans())
+    def test_relabeling_invariance(self, spec, shift, reverse):
+        p = mk.random_equilateral_polygon(*spec)
+        relabeled = np.roll(p.vertices, shift, axis=0)
+        if reverse:
+            relabeled = relabeled[::-1].copy()
+        # reversal pairs each term with the weights of other edges, equal to 1e-12
+        assert _energy(relabeled) == pytest.approx(_energy(p.vertices), rel=1e-10, abs=1e-12)
+
+    @settings(deadline=None)
+    @given(random_polygons)
+    def test_pair_terms_nonnegative(self, spec):
+        terms = mk.discrete_moebius_energy(mk.random_equilateral_polygon(*spec), keep_terms=True).terms
+        assert terms.min() >= -1e-14 * max(1.0, terms.max())
+
+    @settings(deadline=None)
+    @given(random_polygons)
+    def test_regular_ngon_is_below(self, spec):
+        n = spec[0]
+        assert _energy(mk.random_equilateral_polygon(*spec).vertices) >= mk.regular_ngon_energy(n) - 1e-9
 
 
 def test_report_serialization(tmp_path):

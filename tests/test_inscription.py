@@ -1,10 +1,59 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import moebius_kit as mk
 from moebius_kit.errors import InputError
+from moebius_kit.inscription import _march
+
+
+def scalar_march(curve, n, c, step_bound):
+    """Reference for ``_march``: vertex by vertex, scan in c/4 steps, then brentq.
+
+    The chord from b_k is at most the arc, so b_k + c lies at or before
+    the root; the first sign change past it, up to the cap, is bracketed
+    by the scan.  Returns the partial march when no root lies within the cap.
+    """
+    L = curve.length
+    cap = min(step_bound, 0.5 * L)
+    xtol = 1e-15 * L
+    b = [0.0]
+    for _ in range(n - 1):
+        origin = curve.point_at(b[-1])
+
+        def gap(x):
+            d = curve.point_at(x) - origin
+            return math.sqrt(float(d @ d)) - c
+
+        lo = b[-1] + c
+        g_lo = gap(lo)
+        if g_lo == 0.0:
+            b.append(lo)
+            continue
+        if g_lo > 0.0:
+            b.append(brentq(gap, b[-1] + 0.25 * c, lo, xtol=xtol))
+            continue
+        x, root = lo, None
+        while x < b[-1] + cap:
+            x_next = min(x + 0.25 * c, b[-1] + cap)
+            if gap(x_next) >= 0.0:
+                root = brentq(gap, x, x_next, xtol=xtol)
+                break
+            x = x_next
+        if root is None:
+            break
+        b.append(root)
+    return np.array(b)
+
+
+def step_bound(curve, c):
+    """The step bound ``inscribe_equilateral`` passes to ``_march``."""
+    return 1.25 * curve.bilipschitz * c
 
 
 def test_uniform_circle_hexagon(circle_2pi):
@@ -140,3 +189,73 @@ def test_march_reports_infeasible_chord(trefoil):
     # a chord longer than the curve's diameter can never be realized
     partial = _march(trefoil, 8, 7.0, 0.5 * trefoil.length)
     assert len(partial) < 8
+
+
+@pytest.mark.parametrize("n", [200, 2000])
+def test_march_far_from_feasible_returns_prefix(trefoil, n):
+    # with chords longer than the diameter the Newton iterates overflow; the
+    # march still returns its certified prefix, without an error or a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        partial = _march(trefoil, n, 10.0, 0.5 * trefoil.length)
+    assert len(partial) == 1
+
+
+@pytest.fixture(scope="module")
+def pentagon():
+    return mk.arclength_reparametrize(mk.rounded_polygon(5, 1.0, 0.2))
+
+
+@pytest.mark.parametrize("name", ["circle_2pi", "ellipse_06", "trefoil", "pentagon"])
+@pytest.mark.parametrize("n", [24, 100, 1000])
+def test_march_matches_scalar_reference(name, n, request):
+    curve = request.getfixturevalue(name)
+    c = float(mk.inscribe_uniform(curve, n)[1].chords.mean())
+    reference = scalar_march(curve, n, c, step_bound(curve, c))
+    b = _march(curve, n, c, step_bound(curve, c))
+    assert len(reference) == n
+    assert b.shape == reference.shape
+    assert np.max(np.abs(b - reference)) <= 1e-12 * curve.length
+
+
+@pytest.fixture(scope="module")
+def knot_25():
+    return mk.arclength_reparametrize(mk.torus_knot(2, 5, 2.0, 1.0))
+
+
+@pytest.mark.parametrize("name", ["circle_2pi", "knot_25"])
+@pytest.mark.parametrize("n", [8, 16, 24, 100])
+def test_march_matches_scalar_reference_across_bracket(name, n, request):
+    # the shooting tries chord lengths across [c_lo, c_hi]; at the large ones the
+    # (2,5) knot's chord from b_k dips before it first reaches c
+    curve = request.getfixturevalue(name)
+    L = curve.length
+    for c in np.linspace(L / (2.0 * n * curve.bilipschitz), 2.0 * L / n, 7):
+        reference = scalar_march(curve, n, c, step_bound(curve, c))
+        b = _march(curve, n, c, step_bound(curve, c))
+        assert b.shape == reference.shape
+        assert np.max(np.abs(b - reference)) <= 1e-12 * L
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(["ellipse_06", "trefoil", "pentagon"]), st.sampled_from([5, 8, 16, 64]),
+       st.floats(0.0, 1.0))
+def test_march_prefix_is_certified(trefoil, ellipse_06, pentagon, name, n, where):
+    curve = {"ellipse_06": ellipse_06, "trefoil": trefoil, "pentagon": pentagon}[name]
+    L = curve.length
+    c_lo, c_hi = L / (2.0 * n * curve.bilipschitz), 2.0 * L / n
+    c = c_lo + where * (c_hi - c_lo)
+    cap = min(step_bound(curve, c), 0.5 * L)
+    b = _march(curve, n, c, step_bound(curve, c))
+    assert 1 <= len(b) <= n and b[0] == 0.0
+    pts = curve.eval(b)
+    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    steps = np.diff(b)
+    assert np.all(np.abs(chords - c) <= 1e-13 * L)
+    assert np.all((steps >= 0.25 * c) & (steps <= cap))
+    # each vertex is the first crossing: the chord stays below c on the scan grid before it
+    for k, step in enumerate(steps):
+        grid = np.arange(c, step - 1e-13 * L, 0.25 * c)
+        if grid.size:
+            probe = np.linalg.norm(curve.eval(b[k] + grid) - pts[k], axis=1)
+            assert np.all(probe < c)
