@@ -79,7 +79,7 @@ def parse_n_spec(spec: str) -> list[int]:
             values = [int(x) for x in s.split(",")]
         else:
             values = [int(s)]
-    except ValueError:
+    except (ValueError, OverflowError):
         raise InputError(f"bad n spec {spec!r}") from None
     if not values or values[0] < 3 or any(y <= x for x, y in zip(values, values[1:])):
         raise InputError(f"n spec {spec!r} must be strictly increasing with n >= 3")

@@ -308,16 +308,8 @@ class ArcLengthCurve:
         return pts
 
     def point_at(self, s: float) -> np.ndarray:
-        """Point at a single arc length s, without the array round trip of :meth:`eval`."""
-        s = math.fmod(s, self.length)
-        if s < 0.0:
-            s += self.length
-        idx = min(int(np.searchsorted(self._inv_x, s, side="right")) - 1, self._inv_c.shape[1] - 1)
-        idx = max(idx, 0)
-        dx = s - self._inv_x[idx]
-        c = self._inv_c
-        u = ((c[0, idx] * dx + c[1, idx]) * dx + c[2, idx]) * dx + c[3, idx]
-        return self.source(min(max(u, 0.0), 1.0))[0]
+        """Point at a single arc length s."""
+        return self.eval(s)
 
     def tangent(self, s):
         """Unit tangent at arc length s, from the source derivative."""

@@ -46,7 +46,11 @@ class EnergyReport:
     """Energy value with summation metadata and diagnostics.
 
     When the per-pair term matrix is retained, re-summing it row-major with
-    compensated accumulation reproduces ``value`` to 1e-12 relative.
+    compensated accumulation reproduces ``value``: to 1e-12 relative for
+    the discrete energy, whose terms are all >= 0, and to 1e-12 times
+    ``diagnostics["potential"]`` for the minimum distance energy, whose
+    value sums per-separation sums and is roundoff-sized near the regular
+    n-gon.
     """
 
     value: float
@@ -174,73 +178,65 @@ def segment_distance(seg_a, seg_b) -> float:
     return float(_segment_distance_batch(pa[None], qa[None], pb[None], qb[None])[0])
 
 
-def _pair_potential(p: ClosedPolygon):
-    """Per-pair minimum-distance potential terms over ordered non-adjacent segment pairs."""
-    n = p.n
-    v = p.vertices
-    starts = v
-    ends = np.roll(v, -1, axis=0)
-    ell = p.edge_lengths
-    i_idx, j_idx = np.triu_indices(n, 1)
-    sep = np.minimum(j_idx - i_idx, n - (j_idx - i_idx))
-    nonadj = sep >= 2
-    i_idx, j_idx = i_idx[nonadj], j_idx[nonadj]
-    terms = np.zeros((n, n))
-    min_dist = math.inf
-    if i_idx.size:
-        dist = _segment_distance_batch(starts[i_idx], ends[i_idx], starts[j_idx], ends[j_idx])
-        tiny = 1e-12 * p.total_length
-        if np.any(dist < tiny):
-            k = int(np.argmin(dist))
-            pair = (int(i_idx[k]), int(j_idx[k]))
-            raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
-        vals = ell[i_idx] * ell[j_idx] / dist**2
-        terms[i_idx, j_idx] = vals
-        terms[j_idx, i_idx] = vals
-        min_dist = float(dist.min())
-    return terms, min_dist, 2 * i_idx.size
-
-
-def _regular_pair_potential(n: int, length: float) -> np.ndarray:
-    """Per-pair potential terms of the regular n-gon with the given perimeter.
-
-    The n-gon is circulant, so the term of pair (i, j) depends only on
-    k = (j - i) mod n: one row, segment 0 against segments 2..n-2, fills it.
-    """
-    v = regular_ngon(n, length, dim=2).vertices
-    k = np.arange(2, n - 1)
-    row = np.zeros(n)
-    row[k] = (length / n) ** 2 / _segment_distance_batch(v[:1], v[1:2], v[k], v[(k + 1) % n]) ** 2
-    idx = np.arange(n)
-    return row[(idx - idx[:, None]) % n]
-
-
 def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> EnergyReport:
     """Minimum distance energy: segment-pair potential minus its regular n-gon value.
 
     The potential sums |X_i||X_j| / dist(X_i, X_j)^2 over ordered segment
-    pairs that share no vertex.  The regular n-gon reference shares that
-    pair structure, so the retained term matrix holds the per-pair excess
-    and re-sums to the value.  For n = 3 every pair is adjacent and the
-    sum is vacuous (value 0, flagged).
+    pairs that share no vertex.  One O(n)-memory pass per cyclic separation
+    k = 2 .. n // 2 takes the pairs {i, i + k mod n}, each once (n / 2 of
+    them when 2k = n).  The regular n-gon's term depends on k alone, one
+    circulant row ``ref``: the ordered pair (i, j), i < j, carries the
+    excess term - ref[j - i] and (j, i) carries term - ref[n - (j - i)].
+    ``value`` is the compensated sum of the per-separation excess sums; the
+    (n, n) excess matrix is built only under ``keep_terms``.  For n = 3
+    every pair is adjacent and the sum is vacuous (value 0, flagged).  A
+    pair closer than 1e-12 L raises :class:`DoublePointError` naming the
+    closest pair (i, j), i < j, the smallest one on ties.
     """
-    raw, min_dist, count = _pair_potential(p)
-    ref = _regular_pair_potential(p.n, p.total_length)
-    terms = raw - ref
+    n, L, v, ell = p.n, p.total_length, p.vertices, p.edge_lengths
+    ends = np.roll(v, -1, axis=0)
+    g = regular_ngon(n, L, dim=2).vertices
+    sep = np.arange(2, n - 1)
+    ref = np.zeros(n)
+    ref[sep] = (L / n) ** 2 / _segment_distance_batch(g[:1], g[1:2], g[sep], g[(sep + 1) % n]) ** 2
+
+    terms = np.zeros((n, n)) if keep_terms else None
+    sums = np.zeros((4, n // 2 + 1))    # per separation: potential, reference, excess, max |excess|
+    closest = (math.inf, 0)             # distance, then i * n + j of the smallest closest pair
+    for k in range(2, n // 2 + 1):
+        i = np.arange(n // 2 if 2 * k == n else n)
+        j = (i + k) % n
+        lo, hi = np.minimum(i, j), np.maximum(i, j)
+        dist = _segment_distance_batch(v[lo], ends[lo], v[hi], ends[hi])
+        d_min = float(dist.min())
+        if d_min <= closest[0]:
+            closest = min(closest, (d_min, int((lo * n + hi)[dist == d_min].min())))
+        if closest[0] < 1e-12 * L:
+            continue    # the energy is infinite; only the closest pair is still wanted
+        vals = ell[lo] * ell[hi] / dist**2
+        up, down = vals - ref[hi - lo], vals - ref[n - (hi - lo)]
+        sums[:, k] = (2.0 * vals.sum(), i.size * (ref[k] + ref[n - k]), up.sum() + down.sum(),
+                      max(np.abs(up).max(), np.abs(down).max()))
+        if keep_terms:
+            terms[lo, hi], terms[hi, lo] = up, down
+    if closest[0] < 1e-12 * L:
+        pair = divmod(closest[1], n)
+        raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
+
+    potential, regular, value = (math.fsum(row) for row in sums[:3])
     diag = {
-        # both potentials are sums of non-negative terms, so pairwise summation is accurate
-        "potential": float(raw.sum()),
-        "regular_ngon_potential": float(ref.sum()),
-        "smallest_distance": None if math.isinf(min_dist) else min_dist,
-        "largest_term": float(np.abs(terms).max()),
+        "potential": potential,
+        "regular_ngon_potential": regular,
+        "smallest_distance": None if math.isinf(closest[0]) else closest[0],
+        "largest_term": float(sums[3].max()),
     }
-    if p.n == 3:
+    if n == 3:
         diag["vacuous_sum"] = True
     return EnergyReport(
-        value=math.fsum(terms.ravel()),
-        term_count=count,
+        value=value,
+        term_count=n * (n - 3),
         scheme="mindist",
-        terms=terms if keep_terms else None,
+        terms=terms,
         diagnostics=diag,
     )
 

@@ -23,3 +23,10 @@ def ellipse_06():
 @pytest.fixture(scope="session")
 def trefoil():
     return mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0))
+
+
+@pytest.fixture(scope="session")
+def minimizer_report():
+    # the criterion-8 study; each n's seeded descents are independent of the
+    # other sizes, so tests that need fewer sizes filter its rows
+    return mk.minimizer_study([8, 16, 32, 64], seeds=10, dim=3)

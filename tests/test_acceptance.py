@@ -8,23 +8,12 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import moebius_kit as mk
 
 
 def report(criterion: str, passed: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if passed else 'FAIL'} ({detail})", flush=True)
-
-
-@pytest.fixture(scope="module")
-def trefoil():
-    return mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0))
-
-
-@pytest.fixture(scope="module")
-def minimizer_report():
-    return mk.minimizer_study([8, 16, 32, 64], seeds=10, dim=3)
 
 
 def test_criterion_1_circle_energy():

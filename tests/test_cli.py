@@ -32,7 +32,7 @@ class TestNSpec:
         assert parse_n_spec("8,16,32") == [8, 16, 32]
 
     def test_rejects(self):
-        for bad in ("8:64:y2", "64:8:x2", "2", "8:64:x1", "a,b"):
+        for bad in ("8:64:y2", "64:8:x2", "2", "8:64:x1", "a,b", "8:64:xinf"):
             with pytest.raises(InputError):
                 parse_n_spec(bad)
 
@@ -55,9 +55,13 @@ def test_energy_discrete(square_path, capsys, tmp_path):
     assert len(terms.read_text().strip().splitlines()) == 1 + 16
 
 
-def test_energy_mindist(square_path, capsys):
-    assert main(["energy", "--polygon", square_path, "--kind", "mindist"]) == 0
+def test_energy_mindist(square_path, capsys, tmp_path):
+    terms = tmp_path / "terms.csv"
+    rc = main(["energy", "--polygon", square_path, "--kind", "mindist",
+               "--terms-csv", str(terms)])
+    assert rc == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.0, abs=1e-12)
+    assert len(terms.read_text().strip().splitlines()) == 1 + 16
 
 
 def test_energy_smooth(circle_path, capsys, tmp_path):

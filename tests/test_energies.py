@@ -131,28 +131,37 @@ class TestMinimumDistanceEnergy:
         assert rep.value == 0.0
         assert rep.diagnostics.get("vacuous_sum") is True
 
-    def test_random_polygon_against_brute_force(self):
-        def potential(vertices):
-            n = len(vertices)
+    @pytest.mark.parametrize("n", [4, 5, 9, 10])
+    def test_random_polygon_against_brute_force(self, n):
+        # even n exercises the half pass at separation n / 2
+        def pair_terms(vertices):
             segs = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
             lengths = [np.linalg.norm(b - a) for a, b in segs]
-            return math.fsum(
-                lengths[i] * lengths[j] / mk.segment_distance(segs[i], segs[j]) ** 2
+            return {
+                (i, j): lengths[i] * lengths[j] / mk.segment_distance(segs[i], segs[j]) ** 2
                 for i in range(n)
                 for j in range(n)
                 if min((j - i) % n, (i - j) % n) >= 2
-            )
+            }
 
-        p = mk.random_equilateral_polygon(9, dim=3, seed=4)
-        radius = p.total_length / (2 * 9 * math.sin(math.pi / 9))
-        angles = 2 * math.pi * np.arange(9) / 9
+        p = mk.random_equilateral_polygon(n, dim=3, seed=4)
+        radius = p.total_length / (2 * n * math.sin(math.pi / n))
+        angles = 2 * math.pi * np.arange(n) / n
         regular = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
-        rep = mk.minimum_distance_energy(p)
-        assert rep.diagnostics["potential"] == pytest.approx(potential(p.vertices), rel=1e-12)
+        raw, ref = pair_terms(p.vertices), pair_terms(regular)
+        rep = mk.minimum_distance_energy(p, keep_terms=True)
+        assert rep.diagnostics["potential"] == pytest.approx(math.fsum(raw.values()), rel=1e-12)
         assert rep.diagnostics["regular_ngon_potential"] == pytest.approx(
-            potential(regular), rel=1e-12
+            math.fsum(ref.values()), rel=1e-12
         )
-        assert rep.value == pytest.approx(potential(p.vertices) - potential(regular), rel=1e-12)
+        assert rep.value == pytest.approx(
+            math.fsum(raw.values()) - math.fsum(ref.values()), rel=1e-12
+        )
+        assert rep.term_count == len(raw)
+        for i in range(n):
+            for j in range(n):
+                excess = raw[i, j] - ref[i, j] if (i, j) in raw else 0.0
+                assert rep.terms[i, j] == pytest.approx(excess, rel=1e-12)
 
     def test_term_matrix_resums_to_value(self):
         rect = mk.ClosedPolygon([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]])
@@ -161,8 +170,18 @@ class TestMinimumDistanceEnergy:
 
     def test_intersecting_segments_rejected(self):
         bowtie = mk.ClosedPolygon([[0, 0], [1, 1], [1, 0], [0, 1]])
-        with pytest.raises(DoublePointError):
+        with pytest.raises(DoublePointError) as err:
             mk.minimum_distance_energy(bowtie)
+        assert err.value.pair == (0, 2)
+
+    def test_double_point_ties_report_smallest_pair(self):
+        # vertex 0 lies on segment 4 and vertex 2 on segment 3, so the pairs
+        # (0, 4) and (1, 3) are both at distance exactly 0; the pass at
+        # separation 2 meets (1, 3) before the wrapped pair (0, 4)
+        touching = mk.ClosedPolygon([[0, 2], [1, 3], [3, 3], [4, 4], [0, 0], [0, 3]])
+        with pytest.raises(DoublePointError) as err:
+            mk.minimum_distance_energy(touching)
+        assert err.value.pair == (0, 4)
 
 
 class TestSmoothEnergy:

@@ -71,7 +71,9 @@ class TestGradient:
             mk.energy_gradient(mk.ClosedPolygon(v))
 
 
-@pytest.mark.parametrize("kernel", [mk.discrete_moebius_energy, mk.energy_gradient])
+@pytest.mark.parametrize(
+    "kernel", [mk.discrete_moebius_energy, mk.energy_gradient, mk.minimum_distance_energy]
+)
 def test_pair_kernel_peak_memory(kernel):
     # an (n, n, d) difference tensor alone would take 8 d n^2 bytes
     p = mk.random_equilateral_polygon(1024, dim=3, seed=0)
