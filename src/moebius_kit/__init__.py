@@ -4,7 +4,7 @@ Library layout: ``curves`` (smooth curve catalog and arc-length
 reparametrization), ``polygon`` (closed polygons and curve distances),
 ``energies`` (discrete, minimum-distance, and smooth energies),
 ``inscription`` (inscribed and equilateral polygons), ``optimize``
-(projected gradient descent over the equilateral class), ``experiments``
+(Sobolev-metric descent over the equilateral class), ``experiments``
 (convergence, recovery, and minimality studies), ``cli`` (command line).
 """
 
@@ -69,6 +69,7 @@ from .optimize import (
     energy_gradient,
     minimize_discrete_energy,
     project_equilateral_closed,
+    sobolev_direction,
 )
 from .polygon import (
     ClosedPolygon,

@@ -201,6 +201,14 @@ def cmd_minimize(args) -> int:
         print(f"error: descent hit the iteration budget of {args.max_iter} without converging",
               file=sys.stderr)
         return 3
+    if trace.termination == "stalled":
+        print("error: descent stalled: no step along the descent direction lowers the energy",
+              file=sys.stderr)
+        return 3
+    if trace.termination == "barrier":
+        print(f"error: descent stopped at the double-point barrier, vertex pair {trace.barrier_pair}",
+              file=sys.stderr)
+        return 2
     return 0
 
 
@@ -292,7 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, choices=(2, 3), default=3)
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--step", type=float, default=1.0,
+                   help="first trial step, dimensionless: a multiple of the Sobolev-metric "
+                        "descent direction, which scales like a length")
     p.add_argument("--grad-tol", type=float, default=1e-9)
     p.add_argument("--energy-tol", type=float, default=1e-14)
     p.add_argument("--out-dir", default=".")

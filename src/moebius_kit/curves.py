@@ -319,6 +319,12 @@ class ArcLengthCurve:
             return out[0]
         return out
 
+    def point_and_tangent(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Points and unit tangents at the arc lengths s (an array), from one parameter lookup."""
+        u = self._param(np.atleast_1d(s))
+        vel = self.source.velocity(u)
+        return self.source(u), vel / np.linalg.norm(vel, axis=1)[:, None]
+
     def scaled(self, factor: float) -> "ArcLengthCurve":
         """Image of the curve under x -> factor * x (unit speed preserved)."""
         if factor <= 0:

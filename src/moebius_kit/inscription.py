@@ -125,7 +125,7 @@ def _march(curve: ArcLengthCurve, n: int, c: float, step_bound: float) -> np.nda
     b = np.arange(n) * c
     best, stalled, settled = -1, 0, False
     while True:
-        pts = curve.eval(b)
+        pts, t = curve.point_and_tangent(b)
         d = np.diff(pts, axis=0)
         chords = np.linalg.norm(d, axis=1)
         residual = chords - c
@@ -138,7 +138,6 @@ def _march(curve: ArcLengthCurve, n: int, c: float, step_bound: float) -> np.nda
         prefix = n if settled else int(np.argmin(converged))
         best, stalled = (prefix, 0) if prefix > best else (best, stalled + 1)
         u = d / chords[:, None]
-        t = curve.tangent(b)
         bands = np.zeros((2, n - 1))
         # a floored slope keeps the direction (chord too short: move on) at a tangency
         bands[0] = np.maximum(np.einsum("ij,ij->i", t[1:], u), _MIN_SLOPE)

@@ -1,14 +1,19 @@
 """Minimization of the discrete Moebius energy over equilateral closed polygons.
 
-Projected gradient descent: Euclidean gradient of the discrete energy,
-projection back onto closed equilateral polygons by the alternating
-projection :func:`polygon.close_equilateral` (the random sampler's closure
-too), and an Armijo backtracking line search.  The trace records the
-start and the state after each accepted step.  The descent only
-visits equilateral polygons, where the arc-distance part of the energy
-has zero gradient, so the gradient is that of the chord part alone (see
-:func:`energy_gradient`).  Rigid alignment utilities compare minimizers
-against regular n-gons and circles.
+Descent along the tangent space of the equilateral class: the Euclidean
+gradient of the discrete energy is turned into a direction tangent to
+the equal-edge constraint by one saddle-point solve in an order-3/2
+Sobolev metric (:func:`sobolev_direction`, after Yu, Schumacher and
+Crane, *Repulsive Curves*, 2021).  Each step is retracted onto closed
+equilateral polygons by :func:`project_equilateral_closed`, the
+alternating projection :func:`polygon.close_equilateral` that also
+closes the random sampler's polygons, and accepted by an Armijo
+backtracking line search.  The trace records the start and the state
+after each accepted step.  The descent only visits equilateral polygons,
+where the arc-distance part of the energy has zero gradient, so the
+gradient is that of the chord part alone (see :func:`energy_gradient`).
+Rigid alignment utilities compare minimizers against regular n-gons and
+circles.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import circulant, solve
 
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
@@ -28,12 +34,12 @@ from .polygon import ClosedPolygon, close_equilateral, inverse_square_chords
 @dataclass(frozen=True)
 class OptimizerConfig:
     max_iterations: int = 5000
-    initial_step: float | None = None       # auto: 0.02 * L^2 / n^2 when None
+    initial_step: float = 1.0
     grad_tol: float = 1e-9
     energy_tol: float = 1e-14
 
     def __post_init__(self):
-        for name in ("grad_tol", "energy_tol"):
+        for name in ("initial_step", "grad_tol", "energy_tol"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"{name} must be positive")
 
@@ -126,21 +132,70 @@ def project_equilateral_closed(vertices) -> ClosedPolygon:
     return ClosedPolygon(out)
 
 
-def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = None) -> DescentTrace:
-    """Projected gradient descent for the discrete energy over the equilateral class.
+def sobolev_direction(p: ClosedPolygon, grad: np.ndarray) -> np.ndarray:
+    """Descent direction along the equilateral tangent space in a Sobolev metric.
 
-    Steps along the negative gradient, projects back onto the constraint,
-    and accepts by an Armijo sufficient-decrease test with factor 1e-4; a
-    rejected step is halved and an accepted one grown by 1.3.  Terminates on the
-    gradient norm, the energy decrease, the iteration budget, a collapsed
-    step ("stalled"), or an approach to a double point ("barrier").
+    Returns x from [G C^T; C 0] [x; lam] = [grad; 0].  C has the n - 1
+    rows l_i - l_{i+1} (i = 0 .. n - 2) of the edge-length Jacobian, so
+    C x = 0 keeps the edges equal to first order.  G = L (Delta_h^{3/2} +
+    lambda_1^{3/2} I) acts on each coordinate: Delta_h is the cyclic
+    second difference over h^2 (h = L / n) and lambda_1 its smallest
+    nonzero eigenvalue (see PAPER.md, "Descent metric").  G is circulant,
+    so G^{-1} is applied through its spectrum by an FFT, and lam solves the
+    (n - 1) x (n - 1) Schur system C G^{-1} C^T lam = C G^{-1} grad.  The
+    rows of C and a translation-invariant gradient each sum to zero per
+    coordinate, so x has zero mean without translation rows.  x scales
+    like a length, and grad . x = x^T G x > 0 unless x = 0.
+    """
+    n = p.n
+    L = p.total_length
+    h = L / n
+    lap = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / h**2
+    g_inv = 1.0 / (L * (lap**1.5 + lap[1] ** 1.5))       # spectrum of G^{-1}
+
+    def apply_g_inv(y):
+        return np.fft.irfft(np.fft.rfft(y, axis=0) * g_inv[:, None], n, axis=0)
+
+    # C = D J: row i of J takes a vertex motion y to the change u_i . (y_{i+1} - y_i)
+    # of edge i, and D to differences of consecutive edges.  J G^{-1} J^T is
+    # (u u^T) o F G^{-1} F^T, with F the forward difference (symbol 2 - 2 cos).
+    u = p.unit_edges()
+    gram = circulant(np.fft.irfft(lap * h**2 * g_inv, n))
+    gram *= u @ u.T
+    y = apply_g_inv(grad)
+    dl = np.einsum("ij,ij->i", u, np.roll(y, -1, axis=0) - y)
+    lam = solve(np.diff(np.diff(gram, axis=0), axis=1), dl[:-1] - dl[1:], assume_a="pos")
+    mu = np.zeros(n)                      # D^T lam
+    mu[:-1] += lam
+    mu[1:] -= lam
+    w = mu[:, None] * u                   # J^T mu = w_{i-1} - w_i at vertex i
+    return apply_g_inv(grad - (np.roll(w, 1, axis=0) - w))
+
+
+def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = None) -> DescentTrace:
+    """Descent for the discrete energy over the equilateral class.
+
+    Each iteration steps along the direction x of :func:`sobolev_direction`,
+    retracts onto the class with :func:`project_equilateral_closed` and
+    rescales about the centroid to the start's length (the energy is
+    scale-invariant; without it the second-order growth of the length
+    in each step compounds).  The step t is dimensionless: the first
+    trial is ``cfg.initial_step``; a trial that fails the Armijo test
+    E(t) <= E - 1e-4 t (g . x) is halved, and an accepted step is grown
+    by 1.5 for the next iteration.  Terminates on the Euclidean gradient
+    norm ("gradient_tol"); once the decrease t (g . x) a trial step
+    predicts falls below ``energy_tol * max(1, |E|)``, or when a search
+    fails that began within the energy's noise ("energy_tol"); on the
+    iteration budget; on a non-positive slope, or a search that began
+    above the noise and failed, its step collapsed below 1e-16
+    ("stalled"); or at an approach to a double point ("barrier").
     """
     cfg = cfg or OptimizerConfig()
     cert = p0.equilaterality()
     p = p0 if cert.max_edge_deviation <= 1e-12 else project_equilateral_closed(p0.vertices)
     L = p.total_length
     n = p.n
-    step = cfg.initial_step if cfg.initial_step is not None else 0.02 * L**2 / n**2
+    step = cfg.initial_step
     trace = DescentTrace()
     energy = discrete_moebius_energy(p).value
 
@@ -152,7 +207,6 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
             trace.barrier_pair = exc.pair
             break
         gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
-        gsq = float((grad * grad).sum())
         trace.energies.append(energy)
         trace.grad_norms.append(gnorm)
         trace.steps.append(step)
@@ -160,29 +214,33 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         if gnorm < cfg.grad_tol:
             trace.termination = "gradient_tol"
             break
-
-        accepted = False
-        while step >= 1e-16 * L:
+        x = sobolev_direction(p, grad)
+        slope = float((grad * x).sum())
+        if not slope > 0.0:
+            trace.termination = "stalled"
+            break
+        # the retraction leaves edges unequal by up to 1e-12, which moves E by
+        # up to about 1e-12 |E|: a search that starts with a predicted decrease
+        # below that cannot certify it, and its failure means convergence
+        negligible = cfg.energy_tol * max(1.0, abs(energy))
+        within_noise = step * slope < max(cfg.energy_tol, 1e-12) * max(1.0, abs(energy))
+        while step * slope >= negligible and step >= 1e-16:
             try:
-                candidate = project_equilateral_closed(p.vertices - step * grad)
+                q = project_equilateral_closed(p.vertices - step * x)
+                centroid = q.vertices.mean(axis=0)
+                candidate = ClosedPolygon(centroid + (q.vertices - centroid) * (L / q.total_length))
                 cand_energy = discrete_moebius_energy(candidate).value
             except (DoublePointError, ConvergenceError, InputError):
                 step *= 0.5
                 continue
-            if cand_energy <= energy - 1e-4 * step * gsq:
-                accepted = True
+            if cand_energy <= energy - 1e-4 * step * slope:
                 break
             step *= 0.5
-        if not accepted:
-            trace.termination = "stalled"
+        else:
+            trace.termination = "energy_tol" if within_noise else "stalled"
             break
-
-        decrease = energy - cand_energy
         p, energy = candidate, cand_energy
-        if decrease < cfg.energy_tol * max(1.0, abs(energy)):
-            trace.termination = "energy_tol"
-            break
-        step *= 1.3
+        step *= 1.5
     else:
         trace.termination = "max_iterations"
 

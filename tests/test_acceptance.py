@@ -140,6 +140,13 @@ def test_criterion_8_circle_limit(minimizer_report):
     assert decreasing
 
 
+def test_criterion_8_descents_converge(minimizer_report):
+    ends = {t for row in minimizer_report.rows for t in row["terminations"]}
+    ok = ends <= {"gradient_tol", "energy_tol"}
+    report("criterion 8 (every descent converges)", ok, " ".join(sorted(ends)))
+    assert ok
+
+
 def test_criterion_9_invariance_suite():
     polygon = mk.random_equilateral_polygon(12, dim=3, seed=42)
     e_disc = mk.discrete_moebius_energy(polygon).value

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import moebius_kit as mk
+from moebius_kit import optimize
 from moebius_kit.cli import format_value, main, parse_n_spec
-from moebius_kit.errors import InputError
+from moebius_kit.errors import DoublePointError, InputError
 
 
 @pytest.fixture()
@@ -170,6 +171,20 @@ def test_minimize_iteration_budget_exits_3(tmp_path, capsys):
     assert captured.err.startswith("error:")
     for name in ("trace.csv", "final-polygon.json", "run-manifest.json"):
         assert (out / name).exists()
+
+
+def test_minimize_barrier_exits_2(monkeypatch, tmp_path, capsys):
+    def at_barrier(p):
+        raise DoublePointError("vertices 0 and 2 meet", pair=(0, 2))
+
+    monkeypatch.setattr(optimize, "energy_gradient", at_barrier)
+    rc = main(["minimize", "--n", "8", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "(barrier)" in captured.out
+    assert captured.err.startswith("error:")
+    for name in ("trace.csv", "final-polygon.json", "run-manifest.json"):
+        assert (tmp_path / name).exists()
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 import moebius_kit as mk
+from moebius_kit import optimize
+from moebius_kit.cli import main
 from moebius_kit.errors import DoublePointError, InputError
 
 
@@ -115,6 +117,32 @@ class TestProjection:
         assert np.linalg.norm(out.vertices.mean(axis=0) - chain.mean(axis=0)) <= 1e-12
 
 
+def equal_edge_rows(p, x):
+    """C x for the rows l_i - l_{i+1}: change of consecutive edge differences along x."""
+    u = p.unit_edges()
+    dl = np.einsum("ij,ij->i", u, np.roll(x, -1, axis=0) - x)
+    return dl[:-1] - dl[1:]
+
+
+class TestSobolevDirection:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_tangent_and_downhill(self, dim):
+        for n in range(5, 65):
+            p = mk.random_equilateral_polygon(n, dim=dim, seed=n)
+            g = mk.energy_gradient(p)
+            x = mk.sobolev_direction(p, g)
+            assert np.linalg.norm(equal_edge_rows(p, x)) <= 1e-12 * np.linalg.norm(x)
+            assert np.sum(g * x) > 0.0
+
+    @pytest.mark.parametrize("s", [0.01, 100.0])
+    def test_scales_as_a_length(self, s):
+        p = mk.random_equilateral_polygon(24, dim=3, seed=13)
+        x = mk.sobolev_direction(p, mk.energy_gradient(p))
+        q = p.scaled(s)
+        xs = mk.sobolev_direction(q, mk.energy_gradient(q))
+        assert np.abs(xs - s * x).max() <= 1e-12 * s * np.abs(x).max()
+
+
 class TestDescent:
     def test_perturbed_square_recovers_regular(self):
         rng = np.random.default_rng(7)
@@ -157,6 +185,40 @@ class TestDescent:
         trace_b = mk.minimize_discrete_energy(moved)
         expected = trace_a.final_polygon.vertices @ R.T + t
         assert np.abs(trace_b.final_polygon.vertices - expected).max() <= 1e-6
+
+    def test_former_stall_reaches_regular(self):
+        # projected Euclidean steps stalled here at gap 106
+        trace = mk.minimize_discrete_energy(mk.random_equilateral_polygon(64, dim=3, seed=848431323))
+        assert trace.termination in ("gradient_tol", "energy_tol")
+        assert trace.energy_gap < 1e-8
+
+    def test_keeps_the_start_length(self):
+        # each step lengthens the edges to second order; unchecked, that compounds
+        start = mk.random_equilateral_polygon(32, dim=3, seed=5)
+        final = mk.minimize_discrete_energy(start).final_polygon
+        assert abs(final.total_length - start.total_length) <= 1e-12 * start.total_length
+
+    def test_reversed_gradient_stalls(self, monkeypatch, tmp_path, capsys):
+        gradient = optimize.energy_gradient
+        monkeypatch.setattr(optimize, "energy_gradient", lambda p: -gradient(p))
+        trace = mk.minimize_discrete_energy(mk.random_equilateral_polygon(8, dim=3, seed=0))
+        assert trace.termination == "stalled"
+        rc = main(["minimize", "--n", "8", "--seed", "0", "--out-dir", str(tmp_path)])
+        assert rc == 3
+        captured = capsys.readouterr()
+        assert "(stalled)" in captured.out
+        assert captured.err.startswith("error:")
+        assert (tmp_path / "final-polygon.json").exists()
+
+    def test_iterations_grow_slowly_with_n(self):
+        most = {
+            n: max(
+                mk.minimize_discrete_energy(mk.random_equilateral_polygon(n, dim=3, seed=seed)).iterations
+                for seed in range(3)
+            )
+            for n in (16, 64)
+        }
+        assert most[64] <= 2 * most[16]
 
     def test_trace_csv(self, tmp_path):
         trace = mk.minimize_discrete_energy(mk.random_equilateral_polygon(8, dim=3, seed=10))
