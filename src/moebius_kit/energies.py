@@ -21,11 +21,11 @@ import numpy as np
 from .curves import ArcLengthCurve, ParametricCurve
 from .errors import DoublePointError, InputError, NotEmbeddedError
 from .polygon import (
+    BLOCK_PAIRS,
     ClosedPolygon,
     chord_length_regular,
-    inverse_square_chords,
+    inverse_square_chord_blocks,
     regular_ngon,
-    zero_adjacent_pairs,
 )
 
 
@@ -78,55 +78,58 @@ class EnergyReport:
                     fh.write(f"{i},{j},{float(self.terms[i, j])!r}\n")
 
 
-def _pair_terms(p: ClosedPolygon, scheme: WeightScheme) -> tuple[np.ndarray, dict]:
-    """Full (n, n) matrix w_i w_j (Q_ij - D_ij) of discrete-energy terms.
-
-    Q is the inverse-square chord and D the inverse-square intrinsic
-    distance, both zero on the diagonal and on consecutive pairs (there
-    chord and arc distance are the same edge, so the term vanishes).
-    """
-    L = p.total_length
-    forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
-    if scheme is WeightScheme.FORWARD:
-        w = forward
-    else:
-        w = 0.5 * (np.roll(forward, 1) + forward)
-
-    terms, smallest_chord = inverse_square_chords(p, 1e-12 * L)   # Q, reused in place
-    D = np.abs(np.subtract.outer(p.arc_params, p.arc_params))
-    np.minimum(D, L - D, out=D)                                 # d(a_i, a_j)
-    np.fill_diagonal(D, np.inf)
-    D = zero_adjacent_pairs(np.reciprocal(np.square(D, out=D), out=D))
-    terms -= D
-    terms *= np.multiply.outer(w, w)
-    diag = {
-        "smallest_chord": smallest_chord,
-        "largest_term": float(np.abs(terms).max()),
-    }
-    return terms, diag
-
-
 def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
                             keep_terms: bool = False) -> EnergyReport:
     """Discrete Moebius energy of a closed polygon.
 
-    Sums, over ordered vertex pairs i != j, the inverse-square chord minus
-    the inverse-square intrinsic distance of the arc parameters, times the
-    scheme's weights.  Nearly coincident vertices raise
+    Sums, over ordered vertex pairs i != j, the terms w_i w_j (Q_ij - D_ij)
+    with the scheme's weights w: Q is the inverse-square chord and D the
+    inverse-square intrinsic distance d(a_i, a_j) of the arc parameters,
+    both zero on the diagonal and on consecutive pairs (there chord and
+    arc distance are the same edge, so the term vanishes).  The terms are
+    built one row block of :func:`polygon.inverse_square_chord_blocks` at
+    a time, each block is summed, and ``value`` is the compensated sum of
+    the block sums; the (n, n) term matrix exists only under
+    ``keep_terms``.  Nearly coincident vertices raise
     :class:`DoublePointError` (the energy is infinite there).
     """
     scheme = WeightScheme(scheme)
-    terms, diag = _pair_terms(p, scheme)
-    # a chord is no longer than either arc between its ends, so every term
-    # is >= 0 and numpy's pairwise summation is accurate to ~log2(n^2) ulp
-    value = float(terms.sum())
-    diag["weights"] = scheme.value
+    n, L, a = p.n, p.total_length, p.arc_params
+    forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
+    w = forward if scheme is WeightScheme.FORWARD else 0.5 * (np.roll(forward, 1) + forward)
+
+    terms = np.empty((n, n)) if keep_terms else None
+    sums, smallest_chord, largest_term = [], math.inf, 0.0
+    # each block holds rows of Q and is turned into the terms in place
+    for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
+        i = np.arange(block.shape[0])
+        rows = slice(r0, r0 + i.size)
+        D = np.abs(np.subtract.outer(a[rows], a))
+        np.minimum(D, L - D, out=D)                             # d(a_i, a_j)
+        D[i, i + r0] = np.inf
+        D = np.reciprocal(np.square(D, out=D), out=D)
+        D[i, (i + r0 + 1) % n] = 0.0
+        D[i, (i + r0 - 1) % n] = 0.0
+        block -= D
+        block *= np.multiply.outer(w[rows], w)
+        # a chord is no longer than either arc between its ends, so every
+        # term is >= 0 and numpy's pairwise block sums are accurate to
+        # ~log2(block size) ulp
+        sums.append(float(block.sum()))
+        smallest_chord = min(smallest_chord, smallest)
+        largest_term = max(largest_term, float(np.abs(block).max()))
+        if keep_terms:
+            terms[rows] = block
     return EnergyReport(
-        value=value,
-        term_count=p.n * (p.n - 1),
+        value=math.fsum(sums),
+        term_count=n * (n - 1),
         scheme=scheme.value,
-        terms=terms if keep_terms else None,
-        diagnostics=diag,
+        terms=terms,
+        diagnostics={
+            "smallest_chord": smallest_chord,
+            "largest_term": largest_term,
+            "weights": scheme.value,
+        },
     )
 
 
@@ -182,16 +185,20 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
     """Minimum distance energy: segment-pair potential minus its regular n-gon value.
 
     The potential sums |X_i||X_j| / dist(X_i, X_j)^2 over ordered segment
-    pairs that share no vertex.  One O(n)-memory pass per cyclic separation
-    k = 2 .. n // 2 takes the pairs {i, i + k mod n}, each once (n / 2 of
-    them when 2k = n).  The regular n-gon's term depends on k alone, one
-    circulant row ``ref``: the ordered pair (i, j), i < j, carries the
-    excess term - ref[j - i] and (j, i) carries term - ref[n - (j - i)].
-    ``value`` is the compensated sum of the per-separation excess sums; the
-    (n, n) excess matrix is built only under ``keep_terms``.  For n = 3
-    every pair is adjacent and the sum is vacuous (value 0, flagged).  A
-    pair closer than 1e-12 L raises :class:`DoublePointError` naming the
-    closest pair (i, j), i < j, the smallest one on ties.
+    pairs that share no vertex.  Cyclic separation k = 2 .. n // 2 takes
+    the pairs {i, i + k mod n}, each once (n / 2 of them when 2k = n).
+    The separations with 2k < n are evaluated K at a time, as one (K, n)
+    batch of about :data:`polygon.BLOCK_PAIRS` / 8 pairs, whose distance
+    temporaries take about as much memory as a chord block; the 2k = n
+    separation has a pass of its own.  The regular n-gon's term depends
+    on k alone, one circulant row ``ref``: the ordered pair (i, j),
+    i < j, carries the excess term - ref[j - i] and (j, i) carries
+    term - ref[n - (j - i)].  ``value`` is the compensated sum of the
+    per-separation excess sums; the (n, n) excess matrix is built only
+    under ``keep_terms``.  For n = 3 every pair is adjacent and the sum
+    is vacuous (value 0, flagged).  A pair closer than 1e-12 L raises
+    :class:`DoublePointError` naming the closest pair (i, j), i < j, the
+    smallest one on ties.
     """
     n, L, v, ell = p.n, p.total_length, p.vertices, p.edge_lengths
     ends = np.roll(v, -1, axis=0)
@@ -203,8 +210,12 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
     terms = np.zeros((n, n)) if keep_terms else None
     sums = np.zeros((4, n // 2 + 1))    # per separation: potential, reference, excess, max |excess|
     closest = (math.inf, 0)             # distance, then i * n + j of the smallest closest pair
-    for k in range(2, n // 2 + 1):
-        i = np.arange(n // 2 if 2 * k == n else n)
+    full = np.arange(2, (n + 1) // 2)   # separations with 2k < n: n pairs each
+    step = max(1, BLOCK_PAIRS // (8 * n))   # a pair's distance takes about 8 (x, y, z) temporaries
+    batches = [(full[s:s + step, None], np.arange(n)) for s in range(0, full.size, step)]
+    if n % 2 == 0:
+        batches.append((np.array([[n // 2]]), np.arange(n // 2)))
+    for k, i in batches:                # k: (K, 1) separations; i: the first segment of each pair
         j = (i + k) % n
         lo, hi = np.minimum(i, j), np.maximum(i, j)
         dist = _segment_distance_batch(v[lo], ends[lo], v[hi], ends[hi])
@@ -215,8 +226,10 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
             continue    # the energy is infinite; only the closest pair is still wanted
         vals = ell[lo] * ell[hi] / dist**2
         up, down = vals - ref[hi - lo], vals - ref[n - (hi - lo)]
-        sums[:, k] = (2.0 * vals.sum(), i.size * (ref[k] + ref[n - k]), up.sum() + down.sum(),
-                      max(np.abs(up).max(), np.abs(down).max()))
+        k = k[:, 0]
+        sums[:, k] = (2.0 * vals.sum(axis=1), i.size * (ref[k] + ref[n - k]),
+                      up.sum(axis=1) + down.sum(axis=1),
+                      np.maximum(np.abs(up).max(axis=1), np.abs(down).max(axis=1)))
         if keep_terms:
             terms[lo, hi], terms[hi, lo] = up, down
     if closest[0] < 1e-12 * L:

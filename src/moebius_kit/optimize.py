@@ -28,7 +28,7 @@ from scipy.linalg import circulant, solve
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
-from .polygon import ClosedPolygon, close_equilateral, inverse_square_chords
+from .polygon import ClosedPolygon, close_equilateral, inverse_square_chord_blocks
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,9 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     is zero (see PAPER.md).  The gradient is that of the chord part
     C = sum l_i l_j Q_ij alone, with Q the inverse-square chord matrix:
     row i is 4 sum_j A_ij (v_j - v_i) for A = l (x) l o Q^2, plus the
-    chain rule through dC/dl_k = 2 (Q l)_k.
+    chain rule through dC/dl_k = 2 (Q l)_k.  Q l and the row sums are
+    built one row block of :func:`polygon.inverse_square_chord_blocks` at
+    a time, so no (n, n) array is allocated.
 
     On equilateral input the result is exact; at the antipodal arc ties
     of even n it is the mean of the one-sided derivatives, which central
@@ -92,20 +94,23 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
         raise InputError(
             f"gradient expects an (almost) equilateral polygon; deviation {cert.max_edge_deviation:.2e}"
         )
-    Q, _ = inverse_square_chords(p, 1e-10 * p.total_length)
-    ell = p.edge_lengths                   # forward weights; l_i <= L/2 on closed polygons
-    edge_pull = (2.0 * (Q @ ell))[:, None] * p.unit_edges()
-    A = np.square(Q, out=Q)
-    A *= np.multiply.outer(ell, ell)
-    # sum_j A_ij (v_i - v_j) one coordinate at a time: the differences are
-    # exact, whereas A v - rowsum(A) v loses |v| / chord to cancellation
-    # at close approaches
-    diff = np.empty_like(A)
-    grad = np.empty_like(p.vertices)
-    for k in range(p.dim):
-        x = p.vertices[:, k]
-        grad[:, k] = np.einsum("ij,ij->i", A, np.subtract.outer(x, x, out=diff))
+    v, ell = p.vertices, p.edge_lengths    # forward weights; l_i <= L/2 on closed polygons
+    pull = np.empty(p.n)
+    grad = np.empty_like(v)
+    for r0, Q, _ in inverse_square_chord_blocks(p, 1e-10 * p.total_length):
+        rows = slice(r0, r0 + Q.shape[0])
+        pull[rows] = Q @ ell
+        A = np.square(Q, out=Q)
+        A *= np.multiply.outer(ell[rows], ell)
+        # sum_j A_ij (v_i - v_j) one coordinate at a time: the differences
+        # are exact, whereas A v - rowsum(A) v loses |v| / chord to
+        # cancellation at close approaches
+        diff = np.empty_like(A)
+        for k in range(p.dim):
+            x = v[:, k]
+            grad[rows, k] = np.einsum("ij,ij->i", A, np.subtract.outer(x[rows], x, out=diff))
     grad *= -4.0
+    edge_pull = (2.0 * pull)[:, None] * p.unit_edges()
     grad += np.roll(edge_pull, 1, axis=0) - edge_pull
     return grad
 
@@ -114,8 +119,8 @@ def project_equilateral_closed(vertices) -> ClosedPolygon:
     """Project a vertex chain onto closed polygons with n edges of the mean input length.
 
     The chain's edges are closed by :func:`polygon.close_equilateral`
-    (edge deviation and closure residual below 1e-12); the result keeps
-    the input's vertex centroid.
+    (relative edge deviation below 1e-12, closure residual below 1e-12
+    times the edge length); the result keeps the input's vertex centroid.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):

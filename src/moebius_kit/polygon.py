@@ -1,9 +1,12 @@
-"""Closed polygons, regular n-gons, equilateral closure, random sampling, curve distances.
+"""Closed polygons, regular n-gons, the chord kernel, equilateral closure, sampling, distances.
 
-:func:`close_equilateral` is the one alternating projection onto closed
-equilateral chains: the random sampler closes Gaussian edges to unit
-length with it, and the descent's projection closes a vertex chain to its
-mean edge length.
+:func:`inverse_square_chord_blocks` is the one pairwise chord kernel: the
+discrete energy, its gradient and the random sampler's double-point check
+all consume its row blocks, so each runs in O(n) memory beyond a block of
+about :data:`BLOCK_PAIRS` entries.  :func:`close_equilateral` is the one
+alternating projection onto closed equilateral chains: the random sampler
+closes Gaussian edges to unit length with it, and the descent's
+projection closes a vertex chain to its mean edge length.
 """
 
 from __future__ import annotations
@@ -136,32 +139,37 @@ class ClosedPolygon:
                 writer.writerow([i, repr(float(v[0])), repr(float(v[1])), repr(z), repr(float(a))])
 
 
-def zero_adjacent_pairs(m: np.ndarray) -> np.ndarray:
-    """Zero the entries (i, i+1) and (i+1, i), indices mod n, of an (n, n) pair matrix in place."""
-    i = np.arange(m.shape[0])
-    j = np.roll(i, -1)
-    m[i, j] = 0.0
-    m[j, i] = 0.0
-    return m
+BLOCK_PAIRS = 1 << 16   # pair entries per row block of the chord kernel (512 KB of float64)
 
 
-def inverse_square_chords(p: ClosedPolygon, barrier: float) -> tuple[np.ndarray, float]:
-    """Pair matrix Q_ij = 1 / |v_i - v_j|^2 and the smallest chord over all pairs i != j.
+def inverse_square_chord_blocks(p: ClosedPolygon, barrier: float):
+    """Yield ``(r0, Q[r0:r1], smallest chord of those rows)``, one row block at a time.
 
-    Q is zero on the diagonal and on consecutive pairs.  Squared chords
-    come from direct coordinate differences, so no |a|^2 + |b|^2 - 2 a.b
-    cancellation, and only (n, n) arrays are allocated.  Raises
-    :class:`DoublePointError` at the first pair, in row-major order,
-    closer than ``barrier``.
+    Q_ij = 1 / |v_i - v_j|^2 is the inverse-square chord matrix, zero on
+    the diagonal and on consecutive pairs; blocks of about
+    :data:`BLOCK_PAIRS` entries cover the rows in order, so no (n, n)
+    array is ever built.  The smallest chord of a block is taken over its
+    pairs i != j, consecutive ones included.  Squared chords come from
+    direct coordinate differences, so no |a|^2 + |b|^2 - 2 a.b
+    cancellation.  Raises :class:`DoublePointError` at the first pair, in
+    row-major order, closer than ``barrier``.
     """
-    chord2 = cdist(p.vertices, p.vertices, "sqeuclidean")
-    np.fill_diagonal(chord2, np.inf)
-    smallest = float(chord2.min())
-    if smallest < barrier**2:
-        i, j = map(int, np.argwhere(chord2 < barrier**2)[0])
-        raise DoublePointError(f"double point: vertices {i} and {j} closer than {barrier:.1e}",
-                               pair=(i, j))
-    return zero_adjacent_pairs(np.reciprocal(chord2, out=chord2)), math.sqrt(smallest)
+    v, n = p.vertices, p.n
+    step = max(1, BLOCK_PAIRS // n)
+    for r0 in range(0, n, step):
+        chord2 = cdist(v[r0:r0 + step], v, "sqeuclidean")
+        i = np.arange(chord2.shape[0])
+        chord2[i, i + r0] = np.inf
+        smallest = float(chord2.min())
+        if smallest < barrier**2:
+            i, j = map(int, np.argwhere(chord2 < barrier**2)[0])
+            i += r0
+            raise DoublePointError(f"double point: vertices {i} and {j} closer than {barrier:.1e}",
+                                   pair=(i, j))
+        Q = np.reciprocal(chord2, out=chord2)
+        Q[i, (i + r0 + 1) % n] = 0.0
+        Q[i, (i + r0 - 1) % n] = 0.0
+        yield r0, Q, math.sqrt(smallest)
 
 
 def regular_ngon(n: int, length: float = 1.0, dim: int = 2) -> ClosedPolygon:
@@ -194,9 +202,11 @@ def close_equilateral(edges, length: float) -> np.ndarray:
 
     Starts from the edge vectors ``edges`` and alternates renormalizing
     every edge to ``length`` with subtracting the mean edge, until the
-    relative edge deviation and the closure residual |sum of edges| both
-    drop below 1e-12, within 10k sweeps.  The edge norms of each sweep's
-    deviation check scale the next sweep's edges.  Raises
+    relative edge deviation drops below 1e-12 and the closure residual
+    |sum of edges| below 1e-12 * length, within 10k sweeps; both bounds
+    scale with ``length``, so rescaling the input rescales the result.
+    The edge norms of each sweep's deviation check scale the next
+    sweep's edges.  Raises
     :class:`ConvergenceError` when an edge collapses below 1e-8 * length
     or the sweeps run out.
     """
@@ -209,7 +219,7 @@ def close_equilateral(edges, length: float) -> np.ndarray:
         e -= e.mean(axis=0)
         norms = np.linalg.norm(e, axis=1)
         deviation = float(np.max(np.abs(norms - length))) / length
-        if deviation < 1e-12 and float(np.linalg.norm(e.sum(axis=0))) < 1e-12:
+        if deviation < 1e-12 and float(np.linalg.norm(e.sum(axis=0))) < 1e-12 * length:
             return e
     raise ConvergenceError(f"equilateral closure stalled at edge deviation {deviation:.3e}")
 
@@ -231,7 +241,8 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
         try:
             e = close_equilateral(rng.standard_normal((n, dim)), 1.0)
             polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(e[:-1], axis=0)]))
-            inverse_square_chords(polygon, 1e-9)
+            for _ in inverse_square_chord_blocks(polygon, 1e-9):
+                pass
         except (ConvergenceError, DoublePointError):
             continue
         return polygon

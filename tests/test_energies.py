@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebius_kit as mk
+from moebius_kit import energies
 from moebius_kit.errors import DoublePointError, InputError
 
 
@@ -182,6 +183,30 @@ class TestMinimumDistanceEnergy:
         with pytest.raises(DoublePointError) as err:
             mk.minimum_distance_energy(touching)
         assert err.value.pair == (0, 4)
+
+    @pytest.mark.parametrize("n", [11, 12])
+    @pytest.mark.parametrize("block_pairs", [1, 8 * 3 * 12 + 5])
+    def test_separation_batches_do_not_change_results(self, monkeypatch, n, block_pairs):
+        # one separation per batch, or three with a ragged last batch
+        p = mk.random_equilateral_polygon(n, dim=3, seed=8)
+        whole = mk.minimum_distance_energy(p, keep_terms=True)
+        monkeypatch.setattr(energies, "BLOCK_PAIRS", block_pairs)
+        rep = mk.minimum_distance_energy(p, keep_terms=True)
+        assert rep.value == whole.value
+        assert rep.diagnostics == whole.diagnostics
+        assert np.array_equal(rep.terms, whole.terms)
+
+    @pytest.mark.parametrize("block_pairs", [1, 1 << 16])
+    def test_double_point_ties_across_separation_batches(self, monkeypatch, block_pairs):
+        # segments 2 and 4 (separation 2) and segments 1 and 6 (separation 3)
+        # touch; (1, 6) is the smaller pair although its separation comes later
+        touching = mk.ClosedPolygon(
+            [[1, 3], [2, 3], [1, 2], [1, 0], [1, 1], [3, 1], [3, 3], [0, 2]]
+        )
+        monkeypatch.setattr(energies, "BLOCK_PAIRS", block_pairs)
+        with pytest.raises(DoublePointError) as err:
+            mk.minimum_distance_energy(touching)
+        assert err.value.pair == (1, 6)
 
 
 class TestSmoothEnergy:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import moebius_kit as mk
-from moebius_kit import optimize
+from moebius_kit import optimize, polygon
 from moebius_kit.cli import main
 from moebius_kit.errors import DoublePointError, InputError
 
@@ -86,6 +86,36 @@ def test_pair_kernel_peak_memory(kernel):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 8 * p.n**2
+
+
+@pytest.mark.parametrize("kernel", [mk.discrete_moebius_energy, mk.energy_gradient])
+def test_chord_kernels_peak_below_a_pair_matrix(kernel):
+    # one (n, n) float64 array takes 134 MB at n = 4096; a row block 0.5 MB
+    p = mk.random_equilateral_polygon(4096, dim=3, seed=0)
+    tracemalloc.start()
+    try:
+        kernel(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
+@pytest.mark.parametrize("rows", ["one", "ragged"])
+def test_row_blocks_do_not_change_results(monkeypatch, rows):
+    p = mk.random_equilateral_polygon(64, dim=3, seed=6)
+    n = p.n
+    monkeypatch.setattr(polygon, "BLOCK_PAIRS", n * n)
+    whole = mk.discrete_moebius_energy(p, keep_terms=True)
+    whole_grad = mk.energy_gradient(p)
+    # one row per block, or 7 rows per block with a last block of 1
+    monkeypatch.setattr(polygon, "BLOCK_PAIRS", {"one": 1, "ragged": 7 * n + 3}[rows])
+    rep = mk.discrete_moebius_energy(p, keep_terms=True)
+    grad = mk.energy_gradient(p)
+    assert rep.value == pytest.approx(whole.value, rel=1e-15, abs=0.0)
+    assert np.array_equal(rep.terms, whole.terms)
+    assert rep.diagnostics == whole.diagnostics
+    assert np.abs(grad - whole_grad).max() <= 1e-15 * np.abs(whole_grad).max()
 
 
 class TestProjection:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import moebius_kit as mk
-from moebius_kit.errors import ConvergenceError, InputError
+from moebius_kit import polygon
+from moebius_kit.errors import ConvergenceError, DoublePointError, InputError
 from moebius_kit.polygon import close_equilateral
 
 # (n, dim, seed) of a random Gaussian chain
@@ -107,6 +108,58 @@ def test_projection_keeps_centroid(chain):
 def test_collinear_triangle_cannot_close(edges):
     with pytest.raises(ConvergenceError):
         close_equilateral(edges, 1.0)
+
+
+@pytest.mark.parametrize("scale", [1e-4, 1e4])
+def test_closure_bound_scales_with_edge_length(scale):
+    # at edge length 1e4 roundoff alone leaves |sum of edges| near 1e-12
+    p = mk.random_equilateral_polygon(64, 3, seed=0).scaled(scale)
+    e = close_equilateral(p.edge_vectors(), scale)
+    assert np.abs(np.linalg.norm(e, axis=1) - scale).max() <= 1e-12 * scale
+    assert np.linalg.norm(e.sum(axis=0)) < 1e-12 * scale
+    out = mk.project_equilateral_closed(p.vertices)
+    assert out.equilaterality().max_edge_deviation <= 1e-12
+    assert np.abs(out.vertices - p.vertices).max() <= 1e-12 * p.total_length
+
+
+def chord_matrix(v):
+    """1 / |v_i - v_j|^2 pair by pair, zero on the diagonal and on consecutive pairs."""
+    n = len(v)
+    Q = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if (j - i) % n not in (0, 1, n - 1):
+                Q[i, j] = 1.0 / np.sum((v[i] - v[j]) ** 2)
+    return Q
+
+
+@pytest.mark.parametrize("block_pairs", [1, 7 * 13 + 3, 13**2])
+def test_chord_blocks_tile_the_pair_matrix(monkeypatch, block_pairs):
+    p = mk.random_equilateral_polygon(13, dim=3, seed=2)
+    monkeypatch.setattr(polygon, "BLOCK_PAIRS", block_pairs)
+    blocks = list(polygon.inverse_square_chord_blocks(p, 1e-9))
+    rows = max(1, block_pairs // 13)
+    assert [r0 for r0, _, _ in blocks] == list(range(0, 13, rows))
+    assert all(len(Q) == min(rows, 13 - r0) for r0, Q, _ in blocks)
+    np.testing.assert_allclose(np.vstack([Q for _, Q, _ in blocks]), chord_matrix(p.vertices),
+                               rtol=1e-15, atol=0.0)
+    gaps = np.linalg.norm(p.vertices[:, None] - p.vertices[None], axis=2)[~np.eye(13, dtype=bool)]
+    assert min(smallest for _, _, smallest in blocks) == pytest.approx(gaps.min(), rel=1e-15)
+
+
+def test_double_point_in_a_later_block(monkeypatch):
+    v = mk.regular_ngon(8, 1.0).vertices.copy()
+    v[6] = v[2]
+    p = mk.ClosedPolygon(v)
+    monkeypatch.setattr(polygon, "BLOCK_PAIRS", 1)   # one row per block
+    blocks = polygon.inverse_square_chord_blocks(p, 1e-9)
+    assert [next(blocks)[0] for _ in range(2)] == [0, 1]
+    with pytest.raises(DoublePointError) as err:
+        next(blocks)
+    assert err.value.pair == (2, 6)
+    with pytest.raises(DoublePointError) as err:
+        mk.discrete_moebius_energy(p)
+    assert err.value.pair == (2, 6)
 
 
 def test_polygon_eval():
