@@ -67,6 +67,8 @@ def parse_n_spec(spec: str) -> list[int]:
                 x = float(a)
                 while round(x) <= b:
                     values.append(int(round(x)))
+                    if len(values) > 1 and values[-1] == values[-2]:
+                        break   # a factor this close to 1 never gets strictly increasing
                     x *= factor
             elif step.startswith("+"):
                 inc = int(step[1:])
@@ -122,6 +124,8 @@ def _load_polygon(path: str) -> ClosedPolygon:
 
 
 def cmd_energy(args) -> int:
+    if args.kind == "smooth" and args.terms_csv:
+        raise InputError("--terms-csv needs --kind discrete or mindist; the smooth quadrature keeps no terms")
     if args.kind in ("discrete", "mindist"):
         if not args.polygon:
             raise InputError(f"--kind {args.kind} needs --polygon")

@@ -87,10 +87,11 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
     inverse-square intrinsic distance d(a_i, a_j) of the arc parameters,
     both zero on the diagonal and on consecutive pairs (there chord and
     arc distance are the same edge, so the term vanishes).  The terms are
-    built one row block of :func:`polygon.inverse_square_chord_blocks` at
-    a time, each block is summed, and ``value`` is the compensated sum of
-    the block sums; the (n, n) term matrix exists only under
-    ``keep_terms``.  Nearly coincident vertices raise
+    symmetric, so they are built on the strict upper triangle only, one
+    trapezoid block of :func:`polygon.inverse_square_chord_blocks` at a
+    time; each block is summed, and ``value`` is twice the compensated
+    sum of the block sums.  The (n, n) term matrix, both triangles, exists
+    only under ``keep_terms``.  Nearly coincident vertices raise
     :class:`DoublePointError` (the energy is infinite there).
     """
     scheme = WeightScheme(scheme)
@@ -98,20 +99,21 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
     forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
     w = forward if scheme is WeightScheme.FORWARD else 0.5 * (np.roll(forward, 1) + forward)
 
-    terms = np.empty((n, n)) if keep_terms else None
+    terms = np.zeros((n, n)) if keep_terms else None
     sums, smallest_chord, largest_term = [], math.inf, 0.0
-    # each block holds rows of Q and is turned into the terms in place
+    # each block holds Q[r0:r1, r0:] and is turned into the terms in place
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
         i = np.arange(block.shape[0])
         rows = slice(r0, r0 + i.size)
-        D = np.abs(np.subtract.outer(a[rows], a))
+        D = np.abs(np.subtract.outer(a[rows], a[r0:]))
         np.minimum(D, L - D, out=D)                             # d(a_i, a_j)
-        D[i, i + r0] = np.inf
+        D[:, :i.size][np.tri(i.size, dtype=bool)] = np.inf     # j <= i
         D = np.reciprocal(np.square(D, out=D), out=D)
-        D[i, (i + r0 + 1) % n] = 0.0
-        D[i, (i + r0 - 1) % n] = 0.0
+        D[i, i + 1] = 0.0
+        if r0 == 0:
+            D[0, n - 1] = 0.0
         block -= D
-        block *= np.multiply.outer(w[rows], w)
+        block *= np.multiply.outer(w[rows], w[r0:])
         # a chord is no longer than either arc between its ends, so every
         # term is >= 0 and numpy's pairwise block sums are accurate to
         # ~log2(block size) ulp
@@ -119,9 +121,11 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
         smallest_chord = min(smallest_chord, smallest)
         largest_term = max(largest_term, float(np.abs(block).max()))
         if keep_terms:
-            terms[rows] = block
+            terms[rows, r0:] = block
+    if keep_terms:
+        terms += terms.T    # Q, D and w_i w_j are bitwise symmetric, and so are the terms
     return EnergyReport(
-        value=math.fsum(sums),
+        value=2.0 * math.fsum(sums),
         term_count=n * (n - 1),
         scheme=scheme.value,
         terms=terms,
@@ -266,7 +270,12 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
     diagonal limit kappa(t)^2 / 12 of the integrand.  Level l uses a grid
     of 256 l points and a band half-width shrinking as L / (8 l^2);
     refinement stops when successive levels agree to tol * max(1, value),
-    or after 12 levels.
+    or after 12 levels.  The off-band chord sum runs on the m-gon of
+    quadrature nodes through :func:`polygon.inverse_square_chord_blocks`,
+    each node pair once, with the band's separations 2 .. K zeroed in
+    every block; the circle reference over the same pairs is one sum over
+    the separations.  Nodes closer than 1e-9 L raise
+    :class:`NotEmbeddedError`.
     """
     if not 1e-10 <= tol <= 1e-3:
         raise InputError("tol must lie in [1e-10, 1e-3]")
@@ -288,23 +297,23 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
         kappa_sq = np.einsum("ij,ij->i", second, second) / step**4
         band = (h / 6.0) * step * float(kappa_sq.sum())
 
+        # the m-gon of nodes carries each pair once; the band |i - j| <= K
+        # (cyclically) is left to the band term
         ref_coef = (math.pi / L) ** 2
-        off = 0.0
-        min_chord2 = math.inf
-        half = m // 2
-        for k in range(K + 1, half + 1):
-            d = np.roll(P, -k, axis=0) - P
-            chord2 = np.einsum("ij,ij->i", d, d)
-            row_min = float(chord2.min())
-            if row_min < (1e-9 * L) ** 2:
-                raise NotEmbeddedError("curve is not embedded at the quadrature resolution")
-            if row_min < min_chord2:
-                min_chord2 = row_min
-            ref = ref_coef / math.sin(math.pi * (k * step) / L) ** 2
-            row = float((1.0 / chord2).sum()) - m * ref
-            off += row if 2 * k == m else 2.0 * row
+        sums, largest = [], 0.0
+        try:
+            for _, Q, _ in inverse_square_chord_blocks(ClosedPolygon(P), 1e-9 * L):
+                for k in range(2, K + 1):
+                    np.fill_diagonal(Q[:, k:], 0.0)
+                    np.fill_diagonal(Q[:, m - k:], 0.0)
+                sums.append(float(Q.sum()))
+                largest = max(largest, float(Q.max()))
+        except DoublePointError:
+            raise NotEmbeddedError("curve is not embedded at the quadrature resolution") from None
+        ref = ref_coef / np.sin(np.pi * (np.arange(K + 1, m - K) * step) / L) ** 2
+        off = 2.0 * math.fsum(sums) - m * math.fsum(ref)
         evaluations += m * (m - 2 * K - 1)
-        global_min_chord = min(global_min_chord, math.sqrt(min_chord2))
+        global_min_chord = min(global_min_chord, 1.0 / math.sqrt(largest))
 
         ref_correction = 4.0 - 2.0 * L * (1.0 / h - (math.pi / L) / math.tan(math.pi * h / L))
         estimate = off * step * step + ref_correction + band

@@ -80,8 +80,10 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     C = sum l_i l_j Q_ij alone, with Q the inverse-square chord matrix:
     row i is 4 sum_j A_ij (v_j - v_i) for A = l (x) l o Q^2, plus the
     chain rule through dC/dl_k = 2 (Q l)_k.  Q l and the row sums are
-    built one row block of :func:`polygon.inverse_square_chord_blocks` at
-    a time, so no (n, n) array is allocated.
+    built one trapezoid block of :func:`polygon.inverse_square_chord_blocks`
+    at a time, so no (n, n) array is allocated; each block holds every
+    pair i < j once and feeds its row sums to the rows and its column
+    sums to the columns.
 
     On equilateral input the result is exact; at the antipodal arc ties
     of even n it is the mean of the one-sided derivatives, which central
@@ -95,20 +97,25 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
             f"gradient expects an (almost) equilateral polygon; deviation {cert.max_edge_deviation:.2e}"
         )
     v, ell = p.vertices, p.edge_lengths    # forward weights; l_i <= L/2 on closed polygons
-    pull = np.empty(p.n)
-    grad = np.empty_like(v)
+    pull = np.zeros(p.n)
+    grad = np.zeros_like(v)
     for r0, Q, _ in inverse_square_chord_blocks(p, 1e-10 * p.total_length):
         rows = slice(r0, r0 + Q.shape[0])
-        pull[rows] = Q @ ell
+        # Q holds each pair i < j once: a row's pair adds to both ends, and
+        # the pair force A_ij (v_i - v_j) is antisymmetric in i, j
+        pull[rows] += Q @ ell[r0:]
+        pull[r0:] += ell[rows] @ Q
         A = np.square(Q, out=Q)
-        A *= np.multiply.outer(ell[rows], ell)
+        A *= np.multiply.outer(ell[rows], ell[r0:])
         # sum_j A_ij (v_i - v_j) one coordinate at a time: the differences
         # are exact, whereas A v - rowsum(A) v loses |v| / chord to
         # cancellation at close approaches
-        diff = np.empty_like(A)
+        force = np.empty_like(A)
         for k in range(p.dim):
             x = v[:, k]
-            grad[rows, k] = np.einsum("ij,ij->i", A, np.subtract.outer(x[rows], x, out=diff))
+            np.multiply(A, np.subtract.outer(x[rows], x[r0:], out=force), out=force)
+            grad[rows, k] += force.sum(axis=1)
+            grad[r0:, k] -= force.sum(axis=0)
     grad *= -4.0
     edge_pull = (2.0 * pull)[:, None] * p.unit_edges()
     grad += np.roll(edge_pull, 1, axis=0) - edge_pull

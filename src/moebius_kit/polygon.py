@@ -1,12 +1,14 @@
 """Closed polygons, regular n-gons, the chord kernel, equilateral closure, sampling, distances.
 
-:func:`inverse_square_chord_blocks` is the one pairwise chord kernel: the
-discrete energy, its gradient and the random sampler's double-point check
-all consume its row blocks, so each runs in O(n) memory beyond a block of
-about :data:`BLOCK_PAIRS` entries.  :func:`close_equilateral` is the one
-alternating projection onto closed equilateral chains: the random sampler
-closes Gaussian edges to unit length with it, and the descent's
-projection closes a vertex chain to its mean edge length.
+:func:`inverse_square_chord_blocks` is the one pairwise chord kernel: it
+visits each unordered vertex pair once, and the discrete energy, its
+gradient, the smooth energy's quadrature and the random sampler's
+double-point check all consume its row blocks, so each runs in O(n)
+memory beyond a block of about :data:`BLOCK_PAIRS` entries.
+:func:`close_equilateral` is the one alternating projection onto closed
+equilateral chains: the random sampler closes Gaussian edges to unit
+length with it, and the descent's projection closes a vertex chain to its
+mean edge length.
 """
 
 from __future__ import annotations
@@ -143,33 +145,38 @@ BLOCK_PAIRS = 1 << 16   # pair entries per row block of the chord kernel (512 KB
 
 
 def inverse_square_chord_blocks(p: ClosedPolygon, barrier: float):
-    """Yield ``(r0, Q[r0:r1], smallest chord of those rows)``, one row block at a time.
+    """Yield ``(r0, Q[r0:r1, r0:], smallest chord of those pairs)``, one trapezoid block at a time.
 
-    Q_ij = 1 / |v_i - v_j|^2 is the inverse-square chord matrix, zero on
-    the diagonal and on consecutive pairs; blocks of about
-    :data:`BLOCK_PAIRS` entries cover the rows in order, so no (n, n)
-    array is ever built.  The smallest chord of a block is taken over its
-    pairs i != j, consecutive ones included.  Squared chords come from
-    direct coordinate differences, so no |a|^2 + |b|^2 - 2 a.b
-    cancellation.  Raises :class:`DoublePointError` at the first pair, in
-    row-major order, closer than ``barrier``.
+    Q_ij = 1 / |v_i - v_j|^2 is the inverse-square chord matrix on the
+    strict upper triangle i < j, each unordered pair once; entries with
+    j <= i, consecutive pairs and the pair (0, n - 1) are 0.  Blocks of
+    ``max(1, BLOCK_PAIRS // (n - r0))`` rows cover rows 0 .. n - 2 in
+    order, so no (n, n) array is ever built.  Q is symmetric, and so are
+    the other factors of every pair sum here, so a consumer doubles the
+    block sums or mirrors the block onto its columns.  The smallest chord
+    of a block is taken over its pairs i < j, consecutive ones included.
+    Squared chords come from direct coordinate differences, so no
+    |a|^2 + |b|^2 - 2 a.b cancellation.  Raises :class:`DoublePointError`
+    at the first pair, in row-major order, closer than ``barrier``.
     """
     v, n = p.vertices, p.n
-    step = max(1, BLOCK_PAIRS // n)
-    for r0 in range(0, n, step):
-        chord2 = cdist(v[r0:r0 + step], v, "sqeuclidean")
-        i = np.arange(chord2.shape[0])
-        chord2[i, i + r0] = np.inf
+    r0 = 0
+    while r0 < n - 1:
+        r1 = min(n - 1, r0 + max(1, BLOCK_PAIRS // (n - r0)))
+        chord2 = cdist(v[r0:r1], v[r0:], "sqeuclidean")
+        i = np.arange(r1 - r0)
+        chord2[:, :i.size][np.tri(i.size, dtype=bool)] = np.inf   # j <= i
         smallest = float(chord2.min())
         if smallest < barrier**2:
-            i, j = map(int, np.argwhere(chord2 < barrier**2)[0])
-            i += r0
+            i, j = (r0 + int(k) for k in np.argwhere(chord2 < barrier**2)[0])
             raise DoublePointError(f"double point: vertices {i} and {j} closer than {barrier:.1e}",
                                    pair=(i, j))
         Q = np.reciprocal(chord2, out=chord2)
-        Q[i, (i + r0 + 1) % n] = 0.0
-        Q[i, (i + r0 - 1) % n] = 0.0
+        Q[i, i + 1] = 0.0
+        if r0 == 0:
+            Q[0, n - 1] = 0.0
         yield r0, Q, math.sqrt(smallest)
+        r0 = r1
 
 
 def regular_ngon(n: int, length: float = 1.0, dim: int = 2) -> ClosedPolygon:

@@ -33,7 +33,7 @@ class TestNSpec:
         assert parse_n_spec("8,16,32") == [8, 16, 32]
 
     def test_rejects(self):
-        for bad in ("8:64:y2", "64:8:x2", "2", "8:64:x1", "a,b", "8:64:xinf"):
+        for bad in ("8:64:y2", "64:8:x2", "2", "8:64:x1", "a,b", "8:64:xinf", "8:64:x1.0000001"):
             with pytest.raises(InputError):
                 parse_n_spec(bad)
 
@@ -89,6 +89,17 @@ def test_energy_smooth_unconverged_exits_3(circle_path, capsys, tmp_path):
     assert float(captured.out.strip()) == pytest.approx(4.0, abs=1e-7)
     assert "did not converge" in captured.err
     assert json.loads(report_path.read_text())["diagnostics"]["converged"] is False
+
+
+def test_energy_smooth_rejects_terms_csv_before_any_work(circle_path, capsys, tmp_path):
+    terms, report_path = tmp_path / "terms.csv", tmp_path / "report.json"
+    rc = main(["energy", "--curve", circle_path, "--kind", "smooth",
+               "--terms-csv", str(terms), "--report", str(report_path)])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--terms-csv" in captured.err
+    assert [path.name for path in tmp_path.iterdir()] == ["circle.json"]   # the input alone
 
 
 def test_energy_exit_codes(tmp_path, square_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import moebius_kit as mk
 from moebius_kit import energies
-from moebius_kit.errors import DoublePointError, InputError
+from moebius_kit.errors import DoublePointError, InputError, NotEmbeddedError
 
 
 def rotation_3d(angle, axis):
@@ -209,7 +209,73 @@ class TestMinimumDistanceEnergy:
         assert err.value.pair == (1, 6)
 
 
+def smooth_energy_by_separation(curve, tol):
+    """Diagnostics of the smooth quadrature summed one cyclic separation at a time.
+
+    The same levels, grid, band and circle reference as
+    ``smooth_moebius_energy``, with the off-band chord sum taken as one
+    pass over the m nodes per separation k = K + 1 .. m / 2.
+    """
+    L = curve.length
+    estimates, evaluations, smallest = [], 0, math.inf
+    for level in range(1, 13):
+        m = 256 * level
+        K = max(1, int(round(m / (8.0 * level * level) - 0.5)))
+        step = L / m
+        h = (K + 0.5) * step
+        P = curve.eval((np.arange(m) + 0.5) * step)
+        second = np.roll(P, -1, axis=0) - 2.0 * P + np.roll(P, 1, axis=0)
+        band = (h / 6.0) * step * float((np.einsum("ij,ij->i", second, second) / step**4).sum())
+        off, min_chord2 = 0.0, math.inf
+        for k in range(K + 1, m // 2 + 1):
+            d = np.roll(P, -k, axis=0) - P
+            chord2 = np.einsum("ij,ij->i", d, d)
+            min_chord2 = min(min_chord2, float(chord2.min()))
+            ref = (math.pi / L) ** 2 / math.sin(math.pi * (k * step) / L) ** 2
+            row = float((1.0 / chord2).sum()) - m * ref
+            off += row if 2 * k == m else 2.0 * row
+        evaluations += m * (m - 2 * K - 1)
+        smallest = min(smallest, math.sqrt(min_chord2))
+        ref_correction = 4.0 - 2.0 * L * (1.0 / h - (math.pi / L) / math.tan(math.pi * h / L))
+        estimates.append(off * step * step + ref_correction + band)
+        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(1.0, abs(estimates[-1])):
+            break
+    converged = len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(
+        1.0, abs(estimates[-1])
+    )
+    return {"levels": len(estimates), "grid": m, "band_cells": K, "term_count": evaluations,
+            "converged": converged, "last_estimates": estimates[-2:], "smallest_chord": smallest}
+
+
 class TestSmoothEnergy:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("name", ["circle_2pi", "ellipse_08", "trefoil"])
+    def test_pair_kernel_matches_separation_loop(self, request, name):
+        curve = (mk.arclength_reparametrize(mk.ellipse(1.0, 0.8)) if name == "ellipse_08"
+                 else request.getfixturevalue(name))
+        rep = mk.smooth_moebius_energy(curve, tol=1e-8)
+        ref = smooth_energy_by_separation(curve, tol=1e-8)
+        for key in ("levels", "grid", "band_cells", "converged"):
+            assert rep.diagnostics[key] == ref[key]
+        assert rep.term_count == ref["term_count"]
+        np.testing.assert_allclose(rep.diagnostics["last_estimates"], ref["last_estimates"],
+                                   rtol=1e-10, atol=0.0)
+        assert rep.diagnostics["smallest_chord"] == pytest.approx(ref["smallest_chord"], rel=1e-15)
+
+    def test_coincident_nodes_are_not_embedded(self):
+        class TwiceAroundCircle:
+            """The unit circle traced twice: nodes half a length apart coincide."""
+
+            length = 4.0 * math.pi
+
+            def eval(self, s):
+                s = np.asarray(s, dtype=float)
+                return np.stack([np.cos(s), np.sin(s)], axis=1)
+
+        with pytest.raises(NotEmbeddedError) as err:
+            mk.smooth_moebius_energy(TwiceAroundCircle(), tol=1e-8)
+        assert type(err.value) is NotEmbeddedError
+
     def test_circle(self, circle_2pi):
         rep = mk.smooth_moebius_energy(circle_2pi, tol=1e-8)
         assert rep.diagnostics["converged"]

@@ -133,16 +133,21 @@ def chord_matrix(v):
     return Q
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")   # a wrongly masked triangle divides by 0
 @pytest.mark.parametrize("block_pairs", [1, 7 * 13 + 3, 13**2])
 def test_chord_blocks_tile_the_pair_matrix(monkeypatch, block_pairs):
     p = mk.random_equilateral_polygon(13, dim=3, seed=2)
     monkeypatch.setattr(polygon, "BLOCK_PAIRS", block_pairs)
     blocks = list(polygon.inverse_square_chord_blocks(p, 1e-9))
-    rows = max(1, block_pairs // 13)
-    assert [r0 for r0, _, _ in blocks] == list(range(0, 13, rows))
-    assert all(len(Q) == min(rows, 13 - r0) for r0, Q, _ in blocks)
-    np.testing.assert_allclose(np.vstack([Q for _, Q, _ in blocks]), chord_matrix(p.vertices),
-                               rtol=1e-15, atol=0.0)
+    tiled = np.zeros((13, 13))
+    covered = []
+    for r0, Q, _ in blocks:
+        assert Q.shape == (min(max(1, block_pairs // (13 - r0)), 12 - r0), 13 - r0)
+        covered += range(r0, r0 + len(Q))
+        assert np.all(Q[np.tri(*Q.shape, dtype=bool)] == 0.0)     # j <= i
+        tiled[r0:r0 + len(Q), r0:] = Q
+    assert covered == list(range(12))   # rows 0 .. n - 2, each in exactly one block
+    np.testing.assert_allclose(tiled, np.triu(chord_matrix(p.vertices), 1), rtol=1e-15, atol=0.0)
     gaps = np.linalg.norm(p.vertices[:, None] - p.vertices[None], axis=2)[~np.eye(13, dtype=bool)]
     assert min(smallest for _, _, smallest in blocks) == pytest.approx(gaps.min(), rel=1e-15)
 
