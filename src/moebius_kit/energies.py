@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import ArcLengthCurve, ParametricCurve
 from .errors import DoublePointError, InputError, NotEmbeddedError
@@ -49,8 +50,9 @@ class EnergyReport:
     compensated accumulation reproduces ``value``: to 1e-12 relative for
     the discrete energy, whose terms are all >= 0, and to 1e-12 times
     ``diagnostics["potential"]`` for the minimum distance energy, whose
-    value sums per-separation sums and is roundoff-sized near the regular
-    n-gon.
+    value is the potential minus its regular n-gon reference, each a
+    compensated sum of per-separation sums, and is roundoff-sized near the
+    regular n-gon.
     """
 
     value: float
@@ -70,12 +72,10 @@ class EnergyReport:
     def terms_to_csv(self, path) -> None:
         if self.terms is None:
             raise InputError("term matrix was not retained for this report")
+        rows = (f"{i},{j},{term!r}\n"
+                for i, row in enumerate(self.terms.tolist()) for j, term in enumerate(row))
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("i,j,term\n")
-            n, m = self.terms.shape
-            for i in range(n):
-                for j in range(m):
-                    fh.write(f"{i},{j},{float(self.terms[i, j])!r}\n")
+            fh.write("".join(["i,j,term\n", *rows]))
 
 
 def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
@@ -105,7 +105,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
         i = np.arange(block.shape[0])
         rows = slice(r0, r0 + i.size)
-        D = np.abs(np.subtract.outer(a[rows], a[r0:]))
+        D = np.subtract(a[r0:], a[rows, None])                  # a_j - a_i >= 0 for j > i
         np.minimum(D, L - D, out=D)                             # d(a_i, a_j)
         D[:, :i.size][np.tri(i.size, dtype=bool)] = np.inf     # j <= i
         D = np.reciprocal(np.square(D, out=D), out=D)
@@ -119,7 +119,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
         # ~log2(block size) ulp
         sums.append(float(block.sum()))
         smallest_chord = min(smallest_chord, smallest)
-        largest_term = max(largest_term, float(np.abs(block).max()))
+        largest_term = max(largest_term, float(block.max()), -float(block.min()))
         if keep_terms:
             terms[rows, r0:] = block
     if keep_terms:
@@ -153,36 +153,74 @@ def regular_ngon_energy(n: int) -> float:
     return math.fsum(terms)
 
 
-def _segment_distance_batch(p1, q1, p2, q2) -> np.ndarray:
-    """Pairwise distances between segments [p1,q1] and [p2,q2] (batched)."""
-    d1 = q1 - p1
-    d2 = q2 - p2
-    r = p1 - p2
-    a = np.einsum("...k,...k->...", d1, d1)
-    e = np.einsum("...k,...k->...", d2, d2)
-    b = np.einsum("...k,...k->...", d1, d2)
-    c = np.einsum("...k,...k->...", d1, r)
-    f = np.einsum("...k,...k->...", d2, r)
-    denom = a * e - b * b
-    s = np.where(denom > 0.0, np.clip((b * f - c * e) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0), 0.0)
-    t = (b * s + f) / e
-    t_low = t < 0.0
-    t_high = t > 1.0
-    s = np.where(t_low, np.clip(-c / a, 0.0, 1.0), s)
-    s = np.where(t_high, np.clip((b - c) / a, 0.0, 1.0), s)
-    t = np.clip(t, 0.0, 1.0)
-    closest1 = p1 + s[..., None] * d1
-    closest2 = p2 + t[..., None] * d2
-    return np.linalg.norm(closest1 - closest2, axis=-1)
+def _dot(x, y, out, tmp):
+    """Sum over the leading (coordinate) axis of x * y into ``out``, via the buffer ``tmp``."""
+    np.multiply(x, y, out=tmp)
+    np.add(tmp[0], tmp[1], out=out)
+    for row in tmp[2:]:
+        out += row
+    return out
+
+
+def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
+    """Squared distances between the segments p1 + s d1 and p2 + t d2, s, t in [0, 1], batched.
+
+    Coordinate-first: r = p1 - p2 is (dim, ...), and d1, d2 broadcast to
+    its shape; a = |d1|^2 and e = |d2|^2 broadcast to the pair shape
+    ``r.shape[1:]``.  s minimizes the distance between the two lines (0
+    for parallel segments) and is clamped to [0, 1]; t then locates the
+    point of the second segment closest to p1 + s d1, and s the point of
+    the first closest to p2 + t d2, each clamped (Ericson, *Real-Time
+    Collision Detection*, 5.1.9).  The distance is |w| for
+    w = r + s d1 - t d2, so its roundoff is relative to |r|, not to the
+    coordinates.  Every pass writes into ``work``, a (dim + 5, *pair
+    shape) scratch array that a caller can reuse across batches; ``r`` is
+    overwritten, and the result is a view into ``work``.
+    """
+    dim = r.shape[0]
+    if work is None:
+        work = np.empty((dim + 5,) + r.shape[1:])
+    w, (b, c, f, s, t) = work[:dim], work[dim:]
+    _dot(d1, d2, b, w)
+    _dot(d1, r, c, w)
+    _dot(d2, r, f, w)
+    denom = np.multiply(a, e, out=t)
+    denom -= np.square(b, out=s)
+    np.copyto(denom, np.inf, where=denom <= 0.0)    # parallel: s = 0
+    np.multiply(c, e, out=w[0])
+    np.multiply(b, f, out=s)
+    s -= w[0]
+    s /= denom
+    np.clip(s, 0.0, 1.0, out=s)
+    np.multiply(b, s, out=t)
+    t += f
+    t /= e
+    np.clip(t, 0.0, 1.0, out=t)
+    np.multiply(t, b, out=s)
+    s -= c
+    s /= a
+    np.clip(s, 0.0, 1.0, out=s)
+    np.multiply(s, d1, out=w)
+    w += r
+    w -= np.multiply(t, d2, out=r)
+    return _dot(w, w, b, w)
 
 
 def segment_distance(seg_a, seg_b) -> float:
     """Euclidean distance between two closed segments, each given as (start, end)."""
     pa, qa = (np.asarray(x, dtype=float) for x in seg_a)
     pb, qb = (np.asarray(x, dtype=float) for x in seg_b)
-    if np.linalg.norm(qa - pa) == 0.0 or np.linalg.norm(qb - pb) == 0.0:
+    d1, d2 = qa - pa, qb - pb
+    a, e = d1 @ d1, d2 @ d2
+    if a == 0.0 or e == 0.0:
         raise InputError("segments must have positive length")
-    return float(_segment_distance_batch(pa[None], qa[None], pb[None], qb[None])[0])
+    dist2 = _squared_segment_distances((pa - pb)[:, None], d1[:, None], d2[:, None], a, e)
+    return math.sqrt(dist2[0])
+
+
+def _doubled_windows(x: np.ndarray) -> np.ndarray:
+    """View w of x's last axis, length n, doubled: w[..., k, i] = x[..., (i + k) % n], k = 0 .. n."""
+    return sliding_window_view(np.concatenate([x, x], axis=-1), x.shape[-1], axis=-1)
 
 
 def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> EnergyReport:
@@ -190,67 +228,84 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
 
     The potential sums |X_i||X_j| / dist(X_i, X_j)^2 over ordered segment
     pairs that share no vertex.  Cyclic separation k = 2 .. n // 2 takes
-    the pairs {i, i + k mod n}, each once (n / 2 of them when 2k = n).
-    The separations with 2k < n are evaluated K at a time, as one (K, n)
-    batch of about :data:`polygon.BLOCK_PAIRS` / 8 pairs, whose distance
-    temporaries take about as much memory as a chord block; the 2k = n
-    separation has a pass of its own.  The regular n-gon's term depends
-    on k alone, one circulant row ``ref``: the ordered pair (i, j),
-    i < j, carries the excess term - ref[j - i] and (j, i) carries
-    term - ref[n - (j - i)].  ``value`` is the compensated sum of the
-    per-separation excess sums; the (n, n) excess matrix is built only
-    under ``keep_terms``.  For n = 3 every pair is adjacent and the sum
-    is vacuous (value 0, flagged).  A pair closer than 1e-12 L raises
-    :class:`DoublePointError` naming the closest pair (i, j), i < j, the
-    smallest one on ties.
+    the pairs (i, i + k mod n), each once (i < n / 2 when 2k = n).  The
+    vertices, edges and lengths are stored coordinate-first, (dim, n), and
+    doubled, so segment i + k mod n of every i is a slice of a sliding
+    window view: a pass builds no index arrays and gathers no segments.
+    Whole separations are evaluated K at a time, as one (K, n) batch of
+    about :data:`polygon.BLOCK_PAIRS` / 8 pairs, in a scratch of 2 dim + 5
+    values per pair allocated once per call; the 2k = n separation has a
+    pass of its own.  Every pair's distance is the same whatever the
+    batching.  The regular n-gon's term depends on k alone,
+    one circulant row ``ref``: the ordered pair (i, j) carries the excess
+    term - ref[(j - i) mod n].  ``value`` is the compensated sum of the
+    per-separation potentials minus that of the reference; the (n, n)
+    excess matrix is built only under ``keep_terms``.  For n = 3 every
+    pair is adjacent and the sum is vacuous (value 0, flagged).  Pairs
+    closer than 1e-12 L raise :class:`DoublePointError` naming the
+    smallest such (i, j), i < j, in row-major order, the chord kernel's
+    rule.
     """
-    n, L, v, ell = p.n, p.total_length, p.vertices, p.edge_lengths
-    ends = np.roll(v, -1, axis=0)
-    g = regular_ngon(n, L, dim=2).vertices
+    n, L, ell = p.n, p.total_length, p.edge_lengths
+    V = p.vertices.T
+    E = np.roll(V, -1, axis=1) - V
+    sq = np.einsum("ij,ij->j", E, E)
+    V2, E2, ell2, sq2 = (_doubled_windows(x) for x in (V, E, ell, sq))
+    G = regular_ngon(n, L, dim=2).vertices.T
+    GE = np.roll(G, -1, axis=1) - G
+    gsq = np.einsum("ij,ij->j", GE, GE)
     sep = np.arange(2, n - 1)
     ref = np.zeros(n)
-    ref[sep] = (L / n) ** 2 / _segment_distance_batch(g[:1], g[1:2], g[sep], g[(sep + 1) % n]) ** 2
+    ref[sep] = (L / n) ** 2 / _squared_segment_distances(G[:, :1] - G[:, sep], GE[:, :1], GE[:, sep],
+                                                         gsq[0], gsq[sep])
 
     terms = np.zeros((n, n)) if keep_terms else None
-    sums = np.zeros((4, n // 2 + 1))    # per separation: potential, reference, excess, max |excess|
-    closest = (math.inf, 0)             # distance, then i * n + j of the smallest closest pair
-    full = np.arange(2, (n + 1) // 2)   # separations with 2k < n: n pairs each
-    step = max(1, BLOCK_PAIRS // (8 * n))   # a pair's distance takes about 8 (x, y, z) temporaries
-    batches = [(full[s:s + step, None], np.arange(n)) for s in range(0, full.size, step)]
+    sums = np.zeros((3, n // 2 + 1))    # per separation: potential, reference, max |excess|
+    dim, thr2 = V.shape[0], (1e-12 * L) ** 2
+    smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
+    step = max(1, BLOCK_PAIRS // (8 * n))
+    batches = [(k0, min(k0 + step, (n + 1) // 2), n) for k0 in range(2, (n + 1) // 2, step)]
     if n % 2 == 0:
-        batches.append((np.array([[n // 2]]), np.arange(n // 2)))
-    for k, i in batches:                # k: (K, 1) separations; i: the first segment of each pair
-        j = (i + k) % n
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        dist = _segment_distance_batch(v[lo], ends[lo], v[hi], ends[hi])
-        d_min = float(dist.min())
-        if d_min <= closest[0]:
-            closest = min(closest, (d_min, int((lo * n + hi)[dist == d_min].min())))
-        if closest[0] < 1e-12 * L:
-            continue    # the energy is infinite; only the closest pair is still wanted
-        vals = ell[lo] * ell[hi] / dist**2
-        up, down = vals - ref[hi - lo], vals - ref[n - (hi - lo)]
-        k = k[:, 0]
-        sums[:, k] = (2.0 * vals.sum(axis=1), i.size * (ref[k] + ref[n - k]),
-                      up.sum(axis=1) + down.sum(axis=1),
-                      np.maximum(np.abs(up).max(axis=1), np.abs(down).max(axis=1)))
+        batches.append((n // 2, n // 2 + 1, n // 2))
+    work = np.empty((2 * dim + 5, step, n))     # r, then the distance scratch
+    for k0, k1, m in batches:           # separations k0 .. k1 - 1, segments i < m
+        k = np.arange(k0, k1)
+        r = np.subtract(V[:, None, :m], V2[:, k0:k1, :m], out=work[:dim, :k.size, :m])
+        dist2 = _squared_segment_distances(r, E[:, None, :m], E2[:, k0:k1, :m], sq[:m],
+                                           sq2[k0:k1, :m], work[dim:, :k.size, :m])
+        d_min = float(dist2.min())
+        smallest = min(smallest, d_min)
+        if d_min < thr2:
+            kk, i = np.nonzero(dist2 < thr2)
+            j = (i + k[kk]) % n
+            pair = min(pair, int((np.minimum(i, j) * n + np.maximum(i, j)).min()))
+        if pair < n * n:
+            continue    # the energy is infinite; only the smallest double point is still wanted
+        vals = np.multiply(ell[:m], ell2[k0:k1, :m], out=r[0])
+        vals /= dist2
+        hi, lo = vals.max(axis=1), vals.min(axis=1)
+        # rounding is monotone, so max |vals - c| = max(hi - c, c - lo), bitwise
+        sums[:, k] = (2.0 * vals.sum(axis=1), m * (ref[k] + ref[n - k]),
+                      np.max([hi - ref[k], ref[k] - lo, hi - ref[n - k], ref[n - k] - lo], axis=0))
         if keep_terms:
-            terms[lo, hi], terms[hi, lo] = up, down
-    if closest[0] < 1e-12 * L:
-        pair = divmod(closest[1], n)
+            i = np.arange(m)
+            j = (i + k[:, None]) % n
+            terms[i, j], terms[j, i] = vals - ref[k, None], vals - ref[n - k, None]
+    if pair < n * n:
+        pair = divmod(pair, n)
         raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
 
-    potential, regular, value = (math.fsum(row) for row in sums[:3])
+    potential, regular = math.fsum(sums[0]), math.fsum(sums[1])
     diag = {
         "potential": potential,
         "regular_ngon_potential": regular,
-        "smallest_distance": None if math.isinf(closest[0]) else closest[0],
-        "largest_term": float(sums[3].max()),
+        "smallest_distance": None if math.isinf(smallest) else math.sqrt(smallest),
+        "largest_term": float(sums[2].max()),
     }
     if n == 3:
         diag["vacuous_sum"] = True
     return EnergyReport(
-        value=value,
+        value=potential - regular,
         term_count=n * (n - 3),
         scheme="mindist",
         terms=terms,

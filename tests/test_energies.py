@@ -83,7 +83,68 @@ class TestRegularNgonOracle:
         assert values[-1] < 4.0
 
 
+def segment_distance_reference(p1, q1, p2, q2) -> np.ndarray:
+    """Pairwise distances between segments [p1, q1] and [p2, q2], points-last (..., dim).
+
+    The closest points of Ericson's clamped solution, differenced as
+    (p1 + s d1) - (p2 + t d2): an independent formula for the library's
+    coordinate-first kernel.
+    """
+    d1 = q1 - p1
+    d2 = q2 - p2
+    r = p1 - p2
+    a = np.einsum("...k,...k->...", d1, d1)
+    e = np.einsum("...k,...k->...", d2, d2)
+    b = np.einsum("...k,...k->...", d1, d2)
+    c = np.einsum("...k,...k->...", d1, r)
+    f = np.einsum("...k,...k->...", d2, r)
+    denom = a * e - b * b
+    s = np.where(denom > 0.0, np.clip((b * f - c * e) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0), 0.0)
+    t = (b * s + f) / e
+    t_low = t < 0.0
+    t_high = t > 1.0
+    s = np.where(t_low, np.clip(-c / a, 0.0, 1.0), s)
+    s = np.where(t_high, np.clip((b - c) / a, 0.0, 1.0), s)
+    t = np.clip(t, 0.0, 1.0)
+    closest1 = p1 + s[..., None] * d1
+    closest2 = p2 + t[..., None] * d2
+    return np.linalg.norm(closest1 - closest2, axis=-1)
+
+
 class TestSegmentDistance:
+    def test_kernel_matches_reference_on_random_pairs(self):
+        rng = np.random.default_rng(20261018)
+        p1, q1, p2, q2 = rng.standard_normal((4, 10_000, 3))
+        d1, d2 = (q1 - p1).T, (q2 - p2).T
+        dist2 = energies._squared_segment_distances(
+            (p1 - p2).T.copy(), d1, d2, np.einsum("ij,ij->j", d1, d1), np.einsum("ij,ij->j", d2, d2)
+        )
+        np.testing.assert_allclose(np.sqrt(dist2), segment_distance_reference(p1, q1, p2, q2),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("case, seg_a, seg_b, expected", [
+        ("parallel", ([0, 0, 0], [1, 0, 0]), ([0.5, 1, 0], [2, 1, 0]), 1.0),
+        ("anti-parallel", ([0, 0, 0], [1, 0, 0]), ([2, 1, 0], [0.5, 1, 0]), 1.0),
+        ("parallel apart", ([0, 0, 0], [1, 0, 0]), ([3, 0, 4], [5, 0, 4]), math.sqrt(20.0)),
+        ("collinear overlapping", ([0, 0, 0], [2, 0, 0]), ([1, 0, 0], [3, 0, 0]), 0.0),
+        ("collinear apart", ([0, 0], [1, 0]), ([3, 0], [4, 0]), 2.0),
+        ("touching at an endpoint", ([0, 0, 0], [1, 0, 0]), ([1, 0, 0], [1, 1, 0]), 0.0),
+        ("endpoint on the interior", ([0, 0], [2, 0]), ([1, 0], [1, 3]), 0.0),
+        ("crossing", ([0, -1], [0, 1]), ([-1, 0], [1, 0]), 0.0),
+        ("crossing 3-D", ([-1, -1, 0], [1, 1, 0]), ([-1, 1, 0], [1, -1, 0]), 0.0),
+        ("nearly parallel", ([0, 0, 0], [1, 0, 0]), ([0, 0.5, 1], [1, 0.5 + 1e-6, 1]), math.sqrt(1.25)),
+        ("nearly parallel, other end", ([0, 0, 0], [1, 0, 0]), ([0, 0.5 + 1e-6, 1], [1, 0.5, 1]),
+         math.sqrt(1.25)),
+    ])
+    def test_exact_cases(self, case, seg_a, seg_b, expected):
+        got = mk.segment_distance(seg_a, seg_b)
+        ref = float(segment_distance_reference(*(np.asarray(x, dtype=float) for x in (*seg_a, *seg_b))))
+        if expected == 0.0:
+            assert got == 0.0 and ref == 0.0
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
     def test_parallel_offset(self):
         d = mk.segment_distance(([0, 0, 0], [1, 0, 0]), ([0, 1, 0], [1, 1, 0]))
         assert d == pytest.approx(1.0, abs=1e-15)
@@ -132,20 +193,21 @@ class TestMinimumDistanceEnergy:
         assert rep.value == 0.0
         assert rep.diagnostics.get("vacuous_sum") is True
 
-    @pytest.mark.parametrize("n", [4, 5, 9, 10])
-    def test_random_polygon_against_brute_force(self, n):
-        # even n exercises the half pass at separation n / 2
+    @staticmethod
+    def check_against_brute_force(p):
+        # every ordered non-adjacent pair, distances by the reference formula
+        n = p.n
+
         def pair_terms(vertices):
             segs = [(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
             lengths = [np.linalg.norm(b - a) for a, b in segs]
             return {
-                (i, j): lengths[i] * lengths[j] / mk.segment_distance(segs[i], segs[j]) ** 2
+                (i, j): lengths[i] * lengths[j] / float(segment_distance_reference(*segs[i], *segs[j])) ** 2
                 for i in range(n)
                 for j in range(n)
                 if min((j - i) % n, (i - j) % n) >= 2
             }
 
-        p = mk.random_equilateral_polygon(n, dim=3, seed=4)
         radius = p.total_length / (2 * n * math.sin(math.pi / n))
         angles = 2 * math.pi * np.arange(n) / n
         regular = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
@@ -163,6 +225,20 @@ class TestMinimumDistanceEnergy:
             for j in range(n):
                 excess = raw[i, j] - ref[i, j] if (i, j) in raw else 0.0
                 assert rep.terms[i, j] == pytest.approx(excess, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [4, 5, 9, 10])
+    def test_random_polygon_against_brute_force(self, n):
+        # even n exercises the half pass at separation n / 2
+        self.check_against_brute_force(mk.random_equilateral_polygon(n, dim=3, seed=4))
+
+    @pytest.mark.parametrize("n", [9, 10])
+    def test_perturbed_convex_polygon_against_brute_force(self, n):
+        # planar: a regular n-gon with every vertex moved by up to 2 % of the
+        # circumradius stays convex, so no pair touches
+        g = mk.regular_ngon(n, 1.0, dim=2)
+        radius = 1.0 / (2 * n * math.sin(math.pi / n))
+        shift = 0.02 * radius * np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
+        self.check_against_brute_force(mk.ClosedPolygon(g.vertices + shift))
 
     def test_term_matrix_resums_to_value(self):
         rect = mk.ClosedPolygon([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]])
@@ -195,6 +271,24 @@ class TestMinimumDistanceEnergy:
         assert rep.value == whole.value
         assert rep.diagnostics == whole.diagnostics
         assert np.array_equal(rep.terms, whole.terms)
+
+    @pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (64, 2), (256, 258)])
+    def test_crossing_polygon_reports_smallest_pair(self, n, seed):
+        # random planar polygons cross themselves at many pairs, at distance
+        # 0 or roundoff; the smallest (i, j) under 1e-12 L is reported
+        p = mk.random_equilateral_polygon(n, dim=2, seed=seed)
+        v, ends = p.vertices, np.roll(p.vertices, -1, axis=0)
+        i, j = np.triu_indices(n, 2)
+        keep = j - i < n - 1
+        i, j = i[keep], j[keep]
+        close = segment_distance_reference(v[i], ends[i], v[j], ends[j]) < 1e-12 * p.total_length
+        with pytest.raises(DoublePointError) as err:
+            mk.minimum_distance_energy(p)
+        assert err.value.pair == (int(i[close][0]), int(j[close][0]))
+        if (n, seed) == (256, 258):
+            # (6, 93) and (10, 73) lie at 0 or ~1e-16, and which of them is
+            # closer is roundoff; (1, 81) is under 1e-12 L as well
+            assert err.value.pair == (1, 81)
 
     @pytest.mark.parametrize("block_pairs", [1, 1 << 16])
     def test_double_point_ties_across_separation_batches(self, monkeypatch, block_pairs):
@@ -445,6 +539,24 @@ class TestInvarianceProperties:
     def test_regular_ngon_is_below(self, spec):
         n = spec[0]
         assert _energy(mk.random_equilateral_polygon(*spec).vertices) >= mk.regular_ngon_energy(n) - 1e-9
+
+
+def terms_csv_by_rows(terms) -> str:
+    """The terms CSV written one formatted row at a time, as a reference."""
+    out = ["i,j,term\n"]
+    n, m = terms.shape
+    for i in range(n):
+        for j in range(m):
+            out.append(f"{i},{j},{float(terms[i, j])!r}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("energy", [mk.discrete_moebius_energy, mk.minimum_distance_energy])
+def test_terms_csv_matches_row_by_row_writer(tmp_path, energy):
+    rep = energy(mk.random_equilateral_polygon(37, dim=3, seed=37), keep_terms=True)
+    path = tmp_path / "terms.csv"
+    rep.terms_to_csv(path)
+    assert path.read_bytes() == terms_csv_by_rows(rep.terms).encode("utf-8")
 
 
 def test_report_serialization(tmp_path):

@@ -88,9 +88,12 @@ def test_pair_kernel_peak_memory(kernel):
     assert peak < 5 * 8 * p.n**2
 
 
-@pytest.mark.parametrize("kernel", [mk.discrete_moebius_energy, mk.energy_gradient])
+@pytest.mark.parametrize(
+    "kernel", [mk.discrete_moebius_energy, mk.energy_gradient, mk.minimum_distance_energy]
+)
 def test_chord_kernels_peak_below_a_pair_matrix(kernel):
-    # one (n, n) float64 array takes 134 MB at n = 4096; a row block 0.5 MB
+    # one (n, n) float64 array takes 134 MB at n = 4096; a row block 0.5 MB,
+    # and so do the segment-pair batches with their scratch
     p = mk.random_equilateral_polygon(4096, dim=3, seed=0)
     tracemalloc.start()
     try:
