@@ -1,30 +1,29 @@
 """Inscribed polygons: uniform subdivisions, equilateral inscriptions, recovery sequences.
 
-Equilateral inscription shoots in the common chord length c.  For each c
-tried, the chain of vertices b_0 = 0 < b_1 < ... with every chord equal
-to c is one vectorized Newton solve (the chord equations couple
-neighbours only, so each step is a banded O(n) solve), and each vertex is
-certified as the first crossing of the chord length c past its
-predecessor, within the bi-Lipschitz step bound.  An outer root find on c
-closes the polygon.  Each chord length is marched at most once per
-inscription.  Everything is deterministic for a fixed curve and n.
+Equilateral inscription is one Newton solve for the vertices
+b_0 = 0 < b_1 < ... < b_{n-1} and the common chord length c together: the
+n chord equations, the closing one from b_{n-1} back to b_n = L included,
+couple neighbours only, so each step is one banded O(n) solve.  Every
+vertex, the closing one included, is certified as the first crossing of
+the chord length c past its predecessor, within the bi-Lipschitz step
+bound; an inscription that fails the certificate raises
+``ConvergenceError``.  Everything is deterministic for a fixed curve and n.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
-from scipy.optimize import brentq
+from scipy.optimize import brentq  # noqa: F401  (unused; perfbench's tracer wraps this name)
 
 from .curves import ArcLengthCurve
 from .errors import ConvergenceError, InputError
 from .polygon import ClosedPolygon
 
-_PATIENCE = 10      # Newton steps without a longer certified prefix before a march stops
+_NEWTON_STEPS = 50  # Newton steps before an inscription gives up
 _MIN_SLOPE = 1e-3   # floor of the Jacobian diagonal
 
 
@@ -95,65 +94,6 @@ def inscribe_uniform(curve: ArcLengthCurve, n: int) -> tuple[ClosedPolygon, Subd
     return _spec_from_params(curve, b)
 
 
-def _march(curve: ArcLengthCurve, n: int, c: float, step_bound: float) -> np.ndarray:
-    """Chain b_0 = 0 < b_1 < ... < b_{n-1} with every chord |gamma(b_{k+1}) - gamma(b_k)| = c.
-
-    All n - 1 chord equations are solved at once by Newton's method from
-    the start b_k = k c.  Equation k involves only b_k and b_{k+1}, so the
-    Jacobian is lower bidiagonal, t(b_{k+1}).u_k on the diagonal and
-    -t(b_k).u_k below it (t the unit tangent, u_k the unit chord), and
-    each step is one O(n) banded solve.  Each new step b_{k+1} - b_k is
-    then kept inside the bracket of :func:`_scan_bracket`, so that Newton
-    cannot pass over a crossing or run off past the cap.
-
-    Vertex b_{k+1} is certified when its step lies in [c/4, cap], its
-    chord equals c to roundoff, and the chord from b_k stays below c at
-    every point b_k + c + j c/4 before b_{k+1}: the vertex is the first
-    crossing of the chord length c past b_k on that grid.  The cap is the
-    bi-Lipschitz step bound, at most L/2 (beyond which the intrinsic
-    metric wraps and the bound is void).  Returns the longest certified
-    prefix; a prefix shorter than n means c exceeds the curve's feature
-    size at this resolution.  Newton stops one step after every vertex is
-    certified (which takes the chords from the tolerance to roundoff, so
-    that residuals do not add up along the chain), or once the certified
-    prefix has not grown for ``_PATIENCE`` steps.
-    """
-    L = curve.length
-    cap = min(step_bound, 0.5 * L)
-    # roundoff in a chord grows with the distance of the points from the origin
-    res_tol = 1e-13 * max(L, float(np.max(np.abs(curve.eval(0.0)))))
-    b = np.arange(n) * c
-    best, stalled, settled = -1, 0, False
-    while True:
-        pts, t = curve.point_and_tangent(b)
-        d = np.diff(pts, axis=0)
-        chords = np.linalg.norm(d, axis=1)
-        residual = chords - c
-        steps = np.diff(b)
-        lo, hi, clear = _scan_bracket(curve, b, pts, c, cap, residual, res_tol)
-        converged = (np.abs(residual) <= res_tol) & clear
-        if converged.all() and settled or stalled > _PATIENCE:
-            break
-        settled = converged.all()
-        prefix = n if settled else int(np.argmin(converged))
-        best, stalled = (prefix, 0) if prefix > best else (best, stalled + 1)
-        u = d / chords[:, None]
-        bands = np.zeros((2, n - 1))
-        # a floored slope keeps the direction (chord too short: move on) at a tangency
-        bands[0] = np.maximum(np.einsum("ij,ij->i", t[1:], u), _MIN_SLOPE)
-        bands[1, :-1] = -np.einsum("ij,ij->i", t[1:-1], u[1:])
-        # forward substitution: a pivoting banded LU (solve_banded) can underflow to
-        # a zero pivot on a far-from-feasible chain although no diagonal is zero
-        delta, _ = dtbtrs(bands, residual, uplo="L")
-        with np.errstate(invalid="ignore"):   # such a chain can also overflow
-            proposal = np.diff(b[1:] - delta, prepend=0.0)
-        # fmax/fmin map a non-finite proposal into the bracket too
-        b[1:] = np.cumsum(np.fmin(np.fmax(proposal, lo), hi))
-    ok = converged & (steps >= 0.25 * c) & (steps <= cap)
-    bad = np.flatnonzero(~ok)
-    return b if bad.size == 0 else b[: bad[0] + 1]
-
-
 def _scan_bracket(curve: ArcLengthCurve, b: np.ndarray, pts: np.ndarray, c: float, cap: float,
                   residual: np.ndarray, slack: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bracket the first crossing of the chord length c past each b_k.
@@ -183,12 +123,30 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
                          ) -> tuple[ClosedPolygon, SubdivisionSpec]:
     """Inscribed polygon with n chords of a common length, b_1 = 0.
 
-    The closure defect (closing chord minus c, or the parameter overshoot
-    when the march wraps past the start) changes sign between the bracket
-    ends c in [L/(2n C_b), 2L/n], and brentq returns a root of it inside
-    that bracket; where the defect has several roots, no particular one is
-    selected.  A march that cannot realize a chord of length c counts as
-    overshoot, driving the outer root find toward smaller c.
+    One Newton solve for b_1 < ... < b_{n-1} and the chord c of the n cyclic
+    equations |gamma(b_{k+1}) - gamma(b_k)| = c, with b_0 = 0 and b_n = L,
+    started from the uniform subdivision and its mean chord.  Equation k
+    involves only b_k, b_{k+1} and c.  The first n - 1 equations have a
+    lower bidiagonal Jacobian in b (t(b_{k+1}).u_k on the diagonal,
+    -t(b_k).u_k below it, t the unit tangent, u_k the unit chord) and a
+    column of -1 in c, so each step is one banded triangular solve with two
+    right-hand sides; the closing equation then gives the step in c.  The
+    new c is kept in [L/(2n C_b), 2L/n], and every new step b_{k+1} - b_k,
+    the closing one included, inside the bracket of :func:`_scan_bracket`,
+    so that Newton cannot pass over a crossing or run off past the cap; the
+    bracketed steps are rescaled to add up to L.
+
+    The result is certified: every step, the closing one included, lies in
+    [c/4, cap], where the cap is the bi-Lipschitz step bound 1.25 C_b c, at
+    most L/2 (beyond which the intrinsic metric wraps and the bound is
+    void); each vertex is the first crossing of the chord length c past its
+    predecessor, as the chord stays below c at every point b_k + c + j c/4
+    before it; and no chord deviates from c by more than tol, relative.
+    Newton stops one step after every vertex is the first crossing and
+    every chord is within tol relative and 1e-13 max(L, |gamma(0)|)
+    absolute of c, which takes the chords to roundoff, or after
+    ``_NEWTON_STEPS`` steps.  An uncertified result raises
+    :class:`ConvergenceError`.
     """
     if n < 3:
         raise InputError("need n >= 3")
@@ -196,52 +154,55 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
         raise InputError("tol must lie in [1e-12, 1e-6]")
     L = curve.length
     cb = curve.bilipschitz if curve.bilipschitz is not None else 2.0
-    step_factor = 1.25 * cb
-
-    start = curve.point_at(0.0)
-    marches = {}
-
-    def march(c: float) -> np.ndarray:
-        if c not in marches:
-            marches[c] = _march(curve, n, c, step_factor * c)
-        return marches[c]
-
-    def defect(c: float) -> float:
-        b = march(c)
-        if len(b) < n:
-            # no root within the step bound: c beyond the feature size
-            return -(n - len(b)) * c - c
-        if b[-1] >= L:
-            return -(b[-1] - L) - c
-        d = curve.point_at(b[-1]) - start
-        return math.sqrt(float(d @ d)) - c
-
-    c_lo = L / (2.0 * n * cb)
-    c_hi = 2.0 * L / n
-    if len(march(c_lo)) < n:
-        raise InputError(
-            f"n={n} too small for equilateral inscription: chord {c_lo:.6g} exceeds feature size"
-        )
-    d_lo = defect(c_lo)
-    d_hi = defect(c_hi)
-    if not (d_lo > 0.0 > d_hi):
-        raise InputError(
-            f"closure bracket failed for n={n}: defect({c_lo:.6g})={d_lo:.6g}, "
-            f"defect({c_hi:.6g})={d_hi:.6g}"
-        )
-    c_star = brentq(defect, c_lo, c_hi, xtol=tol * (L / n) / (4.0 * n), rtol=4 * np.finfo(float).eps)
-
-    # brentq returns a point it evaluated, so this march is a lookup
-    b = march(c_star)
-    if len(b) < n:
-        raise ConvergenceError(f"equilateral inscription for n={n} landed outside the feasible range")
-    polygon, spec = _spec_from_params(curve, b)
-    dev = np.abs(spec.chords - c_star) / c_star
-    if float(dev.max()) > tol:
-        raise ConvergenceError(
-            f"equilateral inscription for n={n} stalled: chord deviation {dev.max():.3e} > tol"
-        )
-    return polygon, spec
+    c_lo, c_hi = L / (2.0 * n * cb), 2.0 * L / n
+    # roundoff in a chord grows with the distance of the points from the origin
+    res_tol = 1e-13 * max(L, float(np.max(np.abs(curve.eval(0.0)))))
+    b = np.arange(n + 1) * (L / n)
+    c = float(np.linalg.norm(np.diff(curve.eval(b), axis=0), axis=1).mean())
+    settled = False
+    for newton in range(_NEWTON_STEPS + 1):
+        pts, t = curve.point_and_tangent(b)
+        d = np.diff(pts, axis=0)
+        chords = np.linalg.norm(d, axis=1)
+        residual = chords - c
+        cap = min(1.25 * cb * c, 0.5 * L)
+        lo, hi, clear = _scan_bracket(curve, b, pts, c, cap, residual, res_tol)
+        converged = bool(clear.all()) and float(np.abs(residual).max()) <= min(res_tol, tol * c)
+        if converged and settled or newton == _NEWTON_STEPS:
+            break
+        settled = converged
+        u = d / chords[:, None]
+        back = -np.einsum("ij,ij->i", t[:-1], u)
+        bands = np.zeros((2, n - 1))
+        # a floored slope keeps the direction (chord too short: move on) at a tangency
+        bands[0] = np.maximum(np.einsum("ij,ij->i", t[1:-1], u[:-1]), _MIN_SLOPE)
+        bands[1, :-1] = back[1:-1]
+        # forward substitution: a pivoting banded LU (solve_banded) can underflow to
+        # a zero pivot on a far-from-feasible chain although no diagonal is zero
+        xy, _ = dtbtrs(bands, np.column_stack([residual[:-1], np.ones(n - 1)]), uplo="L")
+        # fmax/fmin map a non-finite update (a far-from-feasible chain can overflow)
+        # into the bounds of c and into the brackets of the steps
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            dc = (residual[-1] - back[-1] * xy[-1, 0]) / (back[-1] * xy[-1, 1] - 1.0)
+            c_next = float(np.fmin(np.fmax(c - dc, c_lo), c_hi))
+            proposal = np.diff(b[1:-1] - xy[:, 0] - (c - c_next) * xy[:, 1], prepend=0.0, append=L)
+        steps = np.fmin(np.fmax(proposal, lo), hi)
+        b[1:-1] = np.cumsum(steps[:-1]) * (L / steps.sum())
+        c = c_next
+    steps = np.diff(b)
+    dev = float(np.abs(residual).max()) / c
+    k = int(np.argmin(clear))
+    for failed, reason in (
+        (steps.min() < 0.25 * c, f"step {steps.min():.3e} below c/4 = {0.25 * c:.3e}"),
+        (steps.max() > cap, f"step {steps.max():.3e} beyond the cap {cap:.3e}"),
+        (not clear[k], f"the chord from vertex {k} reaches c before vertex {(k + 1) % n}"),
+        (dev > tol, f"chord deviation {dev:.3e} > tol"),
+    ):
+        if failed:
+            raise ConvergenceError(
+                f"equilateral inscription for n={n} not certified after {newton} Newton steps: {reason}"
+            )
+    return _spec_from_params(curve, b[:-1])
 
 
 def recovery_sequence(curve: ArcLengthCurve, n: int, tol: float = 1e-10) -> ClosedPolygon:

@@ -111,6 +111,19 @@ def test_energy_exit_codes(tmp_path, square_path, capsys):
     capsys.readouterr()
 
 
+def test_inscribe_uncertified_closing_chord_exits_3(tmp_path, capsys):
+    # at n = 4 the trefoil's inscription ends uncertified: the command says so
+    # on stderr, exits 3 and writes no polygon
+    curve = tmp_path / "trefoil.json"
+    curve.write_text(json.dumps({"kind": "torus_knot",
+                                 "params": {"p": 2, "q": 3, "ring_radius": 2.0, "tube_radius": 1.0}}))
+    out = tmp_path / "run"
+    rc = main(["inscribe", "--curve", str(curve), "--n", "4", "--equilateral", "--out-dir", str(out)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: equilateral inscription for n=4 not certified")
+    assert not (out / "polygon.json").exists()
+
+
 def test_inscribe_writes_artifacts(circle_path, tmp_path, capsys):
     out = tmp_path / "run"
     rc = main(["inscribe", "--curve", circle_path, "--n", "64", "--equilateral",

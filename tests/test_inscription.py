@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import moebius_kit as mk
-from moebius_kit.errors import InputError
-from moebius_kit.inscription import _march
+from moebius_kit.errors import ConvergenceError, InputError
 
 
 def scalar_march(curve, n, c, step_bound):
-    """Reference for ``_march``: vertex by vertex, scan in c/4 steps, then brentq.
+    """Chain b_0 = 0 < b_1 < ... with every chord c: vertex by vertex, scan in c/4 steps, then brentq.
 
     The chord from b_k is at most the arc, so b_k + c lies at or before
     the root; the first sign change past it, up to the cap, is bracketed
@@ -52,8 +52,35 @@ def scalar_march(curve, n, c, step_bound):
 
 
 def step_bound(curve, c):
-    """The step bound ``inscribe_equilateral`` passes to ``_march``."""
+    """The bi-Lipschitz step bound ``inscribe_equilateral`` certifies its steps against."""
     return 1.25 * curve.bilipschitz * c
+
+
+def assert_certified(curve, spec, tol):
+    """Every one of the n steps, the closing one included, passes the certificate.
+
+    Monotone b, every step in [c/4, cap], each vertex the first crossing of
+    the chord length c past its predecessor on the c/4 scan grid, and every
+    chord within tol of c, relative; c is the mean chord, which lies within
+    tol of the solver's own.
+    """
+    L = curve.length
+    b, chords = spec.b, spec.chords
+    c = float(chords.mean())
+    cap = min(step_bound(curve, c), 0.5 * L)
+    bb = np.append(b, L)
+    steps = np.diff(bb)
+    assert b[0] == 0.0 and len(chords) == len(b)
+    assert np.all((steps >= 0.25 * c) & (steps <= cap))
+    pts = curve.eval(bb)
+    assert np.array_equal(np.linalg.norm(np.diff(pts, axis=0), axis=1), chords)
+    assert np.max(np.abs(chords - c)) <= 2.0 * tol * c
+    # each vertex is the first crossing: the chord stays below c on the scan grid before it
+    for k, step in enumerate(steps):
+        grid = np.arange(c, step - 1e-13 * L, 0.25 * c)
+        if grid.size:
+            probe = np.linalg.norm(curve.eval(b[k] + grid) - pts[k], axis=1)
+            assert np.all(probe < c)
 
 
 def test_uniform_circle_hexagon(circle_2pi):
@@ -168,39 +195,6 @@ def test_preconditions(circle_2pi):
         mk.inscribe_equilateral(circle_2pi, 8, tol=1e-3)
 
 
-def test_each_chord_length_marched_once(trefoil, monkeypatch):
-    from moebius_kit import inscription
-
-    marched = []
-    march = inscription._march
-
-    def recording(curve, n, c, step_bound):
-        marched.append(c)
-        return march(curve, n, c, step_bound)
-
-    monkeypatch.setattr(inscription, "_march", recording)
-    mk.inscribe_equilateral(trefoil, 64)
-    assert len(marched) == len(set(marched))
-
-
-def test_march_reports_infeasible_chord(trefoil):
-    from moebius_kit.inscription import _march
-
-    # a chord longer than the curve's diameter can never be realized
-    partial = _march(trefoil, 8, 7.0, 0.5 * trefoil.length)
-    assert len(partial) < 8
-
-
-@pytest.mark.parametrize("n", [200, 2000])
-def test_march_far_from_feasible_returns_prefix(trefoil, n):
-    # with chords longer than the diameter the Newton iterates overflow; the
-    # march still returns its certified prefix, without an error or a warning
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        partial = _march(trefoil, n, 10.0, 0.5 * trefoil.length)
-    assert len(partial) == 1
-
-
 @pytest.fixture(scope="module")
 def pentagon():
     return mk.arclength_reparametrize(mk.rounded_polygon(5, 1.0, 0.2))
@@ -209,53 +203,77 @@ def pentagon():
 @pytest.mark.parametrize("name", ["circle_2pi", "ellipse_06", "trefoil", "pentagon"])
 @pytest.mark.parametrize("n", [24, 100, 1000])
 def test_march_matches_scalar_reference(name, n, request):
+    # marching vertex by vertex at the inscription's chord reproduces its vertices
     curve = request.getfixturevalue(name)
-    c = float(mk.inscribe_uniform(curve, n)[1].chords.mean())
+    _, spec = mk.inscribe_equilateral(curve, n)
+    c = float(spec.chords.mean())
     reference = scalar_march(curve, n, c, step_bound(curve, c))
-    b = _march(curve, n, c, step_bound(curve, c))
     assert len(reference) == n
-    assert b.shape == reference.shape
-    assert np.max(np.abs(b - reference)) <= 1e-12 * curve.length
+    assert np.max(np.abs(spec.b - reference)) <= 1e-12 * curve.length
+
+
+@settings(deadline=None, max_examples=30)
+@given(st.sampled_from(["ellipse_06", "trefoil", "pentagon"]), st.sampled_from([6, 8, 16, 64]),
+       st.sampled_from([1e-12, 1e-10, 1e-6]))
+def test_march_prefix_is_certified(trefoil, ellipse_06, pentagon, name, n, tol):
+    curve = {"ellipse_06": ellipse_06, "trefoil": trefoil, "pentagon": pentagon}[name]
+    _, spec = mk.inscribe_equilateral(curve, n, tol=tol)
+    assert_certified(curve, spec, tol)
+
+
+CATALOG = {
+    "circle": lambda: mk.unit_circle(2.0 * math.pi),
+    "ellipse_06": lambda: mk.arclength_reparametrize(mk.ellipse(1.0, 0.6)),
+    "ellipse_05": lambda: mk.arclength_reparametrize(mk.ellipse(1.0, 0.5)),
+    "ellipse_03": lambda: mk.arclength_reparametrize(mk.ellipse(1.0, 0.3)),
+    "trefoil": lambda: mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0)),
+    "knot_25": lambda: mk.arclength_reparametrize(mk.torus_knot(2, 5, 2.0, 1.0)),
+    "pentagon": lambda: mk.arclength_reparametrize(mk.rounded_polygon(5, 1.0, 0.2)),
+}
+SMALL_N = range(3, 17)
 
 
 @pytest.fixture(scope="module")
-def knot_25():
-    return mk.arclength_reparametrize(mk.torus_knot(2, 5, 2.0, 1.0))
+def small_n_sweep():
+    """Each catalog curve inscribed at n = 3 ... 16, every call with warnings
+    raised as errors and under tracemalloc: {(name, n): (curve, spec or error, peak bytes)}."""
+    out = {}
+    for name, make in CATALOG.items():
+        curve = make()
+        for n in SMALL_N:
+            tracemalloc.start()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    result = mk.inscribe_equilateral(curve, n)[1]
+            except ConvergenceError as exc:
+                result = exc
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            out[name, n] = (curve, result, peak)
+    return out
 
 
-@pytest.mark.parametrize("name", ["circle_2pi", "knot_25"])
-@pytest.mark.parametrize("n", [8, 16, 24, 100])
-def test_march_matches_scalar_reference_across_bracket(name, n, request):
-    # the shooting tries chord lengths across [c_lo, c_hi]; at the large ones the
-    # (2,5) knot's chord from b_k dips before it first reaches c
-    curve = request.getfixturevalue(name)
-    L = curve.length
-    for c in np.linspace(L / (2.0 * n * curve.bilipschitz), 2.0 * L / n, 7):
-        reference = scalar_march(curve, n, c, step_bound(curve, c))
-        b = _march(curve, n, c, step_bound(curve, c))
-        assert b.shape == reference.shape
-        assert np.max(np.abs(b - reference)) <= 1e-12 * L
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_small_n_inscriptions_certify_the_closing_chord(small_n_sweep, name):
+    # the closing step L - b_{n-1} passes the same certificate as the other n - 1
+    for n in SMALL_N:
+        curve, result, _ = small_n_sweep[name, n]
+        if not isinstance(result, ConvergenceError):
+            assert_certified(curve, result, 1e-10)
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.sampled_from(["ellipse_06", "trefoil", "pentagon"]), st.sampled_from([5, 8, 16, 64]),
-       st.floats(0.0, 1.0))
-def test_march_prefix_is_certified(trefoil, ellipse_06, pentagon, name, n, where):
-    curve = {"ellipse_06": ellipse_06, "trefoil": trefoil, "pentagon": pentagon}[name]
-    L = curve.length
-    c_lo, c_hi = L / (2.0 * n * curve.bilipschitz), 2.0 * L / n
-    c = c_lo + where * (c_hi - c_lo)
-    cap = min(step_bound(curve, c), 0.5 * L)
-    b = _march(curve, n, c, step_bound(curve, c))
-    assert 1 <= len(b) <= n and b[0] == 0.0
-    pts = curve.eval(b)
-    chords = np.linalg.norm(np.diff(pts, axis=0), axis=1)
-    steps = np.diff(b)
-    assert np.all(np.abs(chords - c) <= 1e-13 * L)
-    assert np.all((steps >= 0.25 * c) & (steps <= cap))
-    # each vertex is the first crossing: the chord stays below c on the scan grid before it
-    for k, step in enumerate(steps):
-        grid = np.arange(c, step - 1e-13 * L, 0.25 * c)
-        if grid.size:
-            probe = np.linalg.norm(curve.eval(b[k] + grid) - pts[k], axis=1)
-            assert np.all(probe < c)
+def test_small_n_inscriptions_that_fail_raise_in_bounded_memory(small_n_sweep):
+    # no warning escapes (the sweep raises them as errors) and no failure builds a large array
+    failed = {key: peak for key, (_, result, peak) in small_n_sweep.items()
+              if isinstance(result, ConvergenceError)}
+    assert ("ellipse_03", 3) in failed
+    assert max(failed.values()) < 16e6
+
+
+def test_trefoil_hexagon_is_the_uniform_subdivision(trefoil):
+    # the trefoil's symmetries map the uniform 6-gon's chords onto each other
+    L = trefoil.length
+    _, spec = mk.inscribe_equilateral(trefoil, 6)
+    assert np.max(np.abs(spec.b - np.arange(6) * (L / 6))) <= 1e-12 * L

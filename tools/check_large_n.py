@@ -1,12 +1,17 @@
-"""Energy and gradient of the regular 16384-gon in bounded memory.
+"""Energy, gradient and equilateral inscription at n = 16384 in bounded memory.
 
 Runs ``discrete_moebius_energy`` and ``energy_gradient`` on
-``regular_ngon(16384, 16384.0, dim=3)`` under ``tracemalloc`` and exits 1
-unless both traced peaks stay below 64 MB (one (n, n) float64 array
-would take 2 GB), the energy is within 1e-9 relative of the closed form
-``regular_ngon_energy(n)`` and max |g| <= 1e-8 n / L (the regular n-gon
-is a critical point).  Takes several seconds, so it is kept out of the
-test suite.  Run from the repository root:
+``regular_ngon(16384, 16384.0, dim=3)`` and ``inscribe_equilateral`` on
+the (2,3) trefoil (ring radius 2, tube radius 1), each under
+``tracemalloc``, and exits 1 unless all three traced peaks stay below
+64 MB (one (n, n) float64 array would take 2 GB), the energy is within
+1e-9 relative of the closed form ``regular_ngon_energy(n)``, max |g| <=
+1e-8 n / L (the regular n-gon is a critical point), the inscribed
+polygon's edge deviation is at most 1e-9 and its closing step
+L - b_{n-1} is certified: within [c/4, cap] and the first crossing of
+the chord length c, with the chord from b_{n-1} below c at every point
+b_{n-1} + c + j c/4 before L.  Takes several seconds, so it is kept out
+of the test suite.  Run from the repository root:
 
     PYTHONPATH=src python tools/check_large_n.py
 """
@@ -25,6 +30,7 @@ N = 16384
 PEAK_LIMIT_MB = 64.0
 ENERGY_REL_TOL = 1e-9
 GRADIENT_TOL = 1e-8     # times n / L, the gradient's scale at unit edges
+EDGE_TOL = 1e-9
 
 
 def traced(fn, *args):
@@ -47,6 +53,15 @@ def main() -> int:
     rel = abs(report.value - exact) / exact
     g_max = float(np.abs(grad).max())
     g_tol = GRADIENT_TOL * N / p.total_length
+    trefoil = mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0))
+    (polygon, spec), inscribe_mb, inscribe_s = traced(mk.inscribe_equilateral, trefoil, N)
+    edge_dev = polygon.equilaterality().max_edge_deviation
+    L = trefoil.length
+    c = float(spec.chords.mean())
+    cap = min(1.25 * trefoil.bilipschitz * c, 0.5 * L)
+    closing = L - spec.b[-1]
+    grid = np.arange(c, closing - 1e-13 * L, 0.25 * c)
+    below = np.linalg.norm(trefoil.eval(spec.b[-1] + grid) - polygon.vertices[-1], axis=1) < c
     checks = [
         (f"energy peak {energy_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({energy_s:.1f} s)",
          energy_mb < PEAK_LIMIT_MB),
@@ -55,6 +70,11 @@ def main() -> int:
         (f"energy {report.value!r} vs closed form {exact!r}: rel {rel:.1e} <= {ENERGY_REL_TOL:g}",
          rel <= ENERGY_REL_TOL),
         (f"max |g| {g_max:.1e} <= {g_tol:.1e}", g_max <= g_tol),
+        (f"inscription peak {inscribe_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({inscribe_s:.1f} s)",
+         inscribe_mb < PEAK_LIMIT_MB),
+        (f"inscription edge deviation {edge_dev:.1e} <= {EDGE_TOL:g}", edge_dev <= EDGE_TOL),
+        (f"closing step {closing:.6e} in [c/4, cap] = [{0.25 * c:.6e}, {cap:.6e}], "
+         f"first crossing on {grid.size} probes", 0.25 * c <= closing <= cap and bool(below.all())),
     ]
     for text, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}: {text}")
