@@ -5,7 +5,8 @@ parameter interval (:class:`ParametricCurve`) and is converted to a unit-speed
 :class:`ArcLengthCurve` via a monotone lookup table.  The diagnostics
 exposed here (curvature bound, bi-Lipschitz constant) are sampled
 estimates inflated by a 5% safety factor and are used downstream only as
-diagnostics, never as correctness gates.
+diagnostics, never as correctness gates; the bi-Lipschitz constant runs
+on the chord kernel of :mod:`polygon`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .errors import ConvergenceError, InputError, NotEmbeddedError
+from .errors import ConvergenceError, DoublePointError, InputError, NotEmbeddedError
+from .polygon import ClosedPolygon, inverse_square_chord_blocks
 
 TWO_PI = 2.0 * math.pi
 
@@ -269,8 +271,7 @@ class ArcLengthCurve:
     cubic interpolant, so evaluation never overshoots between nodes.
     """
 
-    def __init__(self, source: ParametricCurve, u_table, s_table,
-                 curvature_max=None, bilipschitz=None):
+    def __init__(self, source: ParametricCurve, u_table, s_table, bilipschitz=None):
         self.source = source
         self.u_table = np.asarray(u_table, dtype=float)
         self.s_table = np.asarray(s_table, dtype=float)
@@ -280,7 +281,6 @@ class ArcLengthCurve:
         inv = PchipInterpolator(self.s_table, self.u_table)
         self._inv_x = inv.x
         self._inv_c = inv.c
-        self.curvature_max = curvature_max
         self.bilipschitz = bilipschitz
 
     @property
@@ -333,8 +333,7 @@ class ArcLengthCurve:
         point = lambda u: factor * src(u)
         deriv = lambda u: factor * src.velocity(u)
         scaled_src = ParametricCurve(point, src.kind, dict(src.params, scale=factor), src.dim, deriv)
-        kmax = None if self.curvature_max is None else self.curvature_max / factor
-        return ArcLengthCurve(scaled_src, self.u_table, factor * self.s_table, kmax, self.bilipschitz)
+        return ArcLengthCurve(scaled_src, self.u_table, factor * self.s_table, self.bilipschitz)
 
 
 def _cumulative_gauss(curve: ParametricCurve, intervals: int) -> np.ndarray:
@@ -353,7 +352,7 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
 
     Cumulative length is refined (doubling the table) until two successive
     total-length estimates differ by less than ``tol * L``.  The returned
-    curve carries sampled curvature and bi-Lipschitz diagnostics.
+    curve carries its sampled bi-Lipschitz constant (:func:`bilipschitz_estimate`).
     """
     if nodes < 256:
         raise InputError("need at least 256 table nodes")
@@ -388,10 +387,6 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
     s_table = np.concatenate([[0.0], np.cumsum(seg)])
     out = ArcLengthCurve(curve, u_table, s_table)
     out.bilipschitz = bilipschitz_estimate(out)
-    try:
-        out.curvature_max = curvature_bound(out)
-    except InputError:
-        out.curvature_max = None
     return out
 
 
@@ -410,24 +405,25 @@ def curvature_bound(curve: ArcLengthCurve, grid: int = 1024) -> float:
 def bilipschitz_estimate(curve: ArcLengthCurve) -> float:
     """Sampled bound C with d(s,t) <= C |gamma(t) - gamma(s)| on 512 points, inflated by 1.05.
 
-    Raises :class:`NotEmbeddedError` when a far-apart parameter pair maps to
-    (nearly) the same point.
+    The 512 samples, L / 512 apart, form a polygon whose chord kernel
+    :func:`polygon.inverse_square_chord_blocks` visits each pair once; C^2
+    is the largest d^2 Q over the pairs it keeps.  Consecutive samples are
+    left out: their ratio is 1 + O((kappa L / 512)^2), far below the
+    pi / 2 of the round circle, the least of any closed curve.  Raises :class:`NotEmbeddedError` when two samples,
+    at least L / 512 apart along the curve, lie within 1e-9 L of each
+    other (the kernel's barrier) or coincide.
     """
     grid = 512
     L = curve.length
     s = np.arange(grid) * (L / grid)
-    pts = curve.eval(s)
-    chord = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    dint = intrinsic_distance(L, s[:, None], s[None, :])
-    mask = ~np.eye(grid, dtype=bool)
-    bad = mask & (chord < 1e-9 * L) & (dint > 1e-3 * L)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise NotEmbeddedError(
-            f"curve not embedded at sampled resolution: parameters {s[i]:.6g} and {s[j]:.6g} coincide"
-        )
-    ratio = np.where(mask, dint / np.where(chord == 0.0, np.inf, chord), 0.0)
-    return 1.05 * float(ratio.max())
+    largest = 0.0
+    try:
+        for r0, Q, _ in inverse_square_chord_blocks(ClosedPolygon(curve.eval(s)), 1e-9 * L):
+            d = intrinsic_distance(L, s[r0:r0 + Q.shape[0], None], s[None, r0:])
+            largest = max(largest, float((np.square(d, out=d) * Q).max()))
+    except (DoublePointError, InputError):      # InputError: consecutive samples coincide
+        raise NotEmbeddedError("curve not embedded at sampled resolution: two samples coincide") from None
+    return 1.05 * math.sqrt(largest)
 
 
 def load_curve(source, nodes: int = 16384) -> ArcLengthCurve:

@@ -3,9 +3,10 @@
 Three functionals live here: the discrete Moebius energy of a closed
 polygon (inverse-square chord minus inverse-square arc distance, summed
 over vertex pairs with edge-length weights), the minimum distance energy
-over non-adjacent segment pairs normalized by the regular n-gon, and the
-smooth Moebius energy of an embedded arc-length curve computed by
-band-regularized tensor quadrature.  A closed-form evaluation for regular
+over non-adjacent segment pairs, measured against the closed-form regular
+n-gon value, and the smooth Moebius energy of an embedded arc-length curve
+computed by band-regularized tensor quadrature.  Each pass visits every
+pair once.  A closed-form evaluation of the discrete energy for regular
 n-gons serves as an independent oracle, and sphere inversion is provided
 for invariance spot checks.
 """
@@ -21,13 +22,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .curves import ArcLengthCurve, ParametricCurve
 from .errors import DoublePointError, InputError, NotEmbeddedError
-from .polygon import (
-    BLOCK_PAIRS,
-    ClosedPolygon,
-    chord_length_regular,
-    inverse_square_chord_blocks,
-    regular_ngon,
-)
+from .polygon import BLOCK_PAIRS, ClosedPolygon, chord_length_regular, inverse_square_chord_blocks
 
 
 class WeightScheme(str, enum.Enum):
@@ -167,15 +162,18 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
 
     Coordinate-first: r = p1 - p2 is (dim, ...), and d1, d2 broadcast to
     its shape; a = |d1|^2 and e = |d2|^2 broadcast to the pair shape
-    ``r.shape[1:]``.  s minimizes the distance between the two lines (0
-    for parallel segments) and is clamped to [0, 1]; t then locates the
-    point of the second segment closest to p1 + s d1, and s the point of
-    the first closest to p2 + t d2, each clamped (Ericson, *Real-Time
-    Collision Detection*, 5.1.9).  The distance is |w| for
-    w = r + s d1 - t d2, so its roundoff is relative to |r|, not to the
-    coordinates.  Every pass writes into ``work``, a (dim + 5, *pair
-    shape) scratch array that a caller can reuse across batches; ``r`` is
-    overwritten, and the result is a view into ``work``.
+    ``r.shape[1:]``.  s minimizes the distance between the two lines and
+    is clamped to [0, 1]; t then locates the point of the second segment
+    closest to p1 + s d1, and s the point of the first closest to
+    p2 + t d2, each clamped (Ericson, *Real-Time Collision Detection*,
+    5.1.9).  The distance is |w| for w = r + s d1 - t d2, so its roundoff
+    is relative to |r|, not to the coordinates.  Pairs whose a e - b^2
+    rounds to 0 or below are parallel to working precision: the clamped
+    steps can stop short of their closest pair, so they take the smallest
+    of the four endpoint-to-segment distances instead.  Every other pass
+    writes into ``work``, a (dim + 5, *pair shape) scratch array that a
+    caller can reuse across batches; ``r`` is overwritten, and the result
+    is a view into ``work``.
     """
     dim = r.shape[0]
     if work is None:
@@ -186,7 +184,16 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     _dot(d2, r, f, w)
     denom = np.multiply(a, e, out=t)
     denom -= np.square(b, out=s)
-    np.copyto(denom, np.inf, where=denom <= 0.0)    # parallel: s = 0
+    parallel = denom <= 0.0
+    ends = None
+    if parallel.any():      # each endpoint against the other segment, before r is overwritten
+        rp, d1p, d2p = (np.broadcast_to(x, r.shape)[:, parallel] for x in (r, d1, d2))
+        ap, ep = (np.broadcast_to(x, parallel.shape)[parallel] for x in (a, e))
+        x = np.stack([rp, rp + d1p, -rp, d2p - rp], axis=1)     # from the other segment's start
+        d = np.stack([d2p, d2p, d1p, d1p], axis=1)
+        x -= np.clip(np.einsum("i...,i...->...", x, d) / np.stack([ep, ep, ap, ap]), 0.0, 1.0) * d
+        ends = np.einsum("i...,i...->...", x, x).min(axis=0)
+    np.copyto(denom, np.inf, where=parallel)        # s = 0 there, overwritten by ``ends`` below
     np.multiply(c, e, out=w[0])
     np.multiply(b, f, out=s)
     s -= w[0]
@@ -203,7 +210,10 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     np.multiply(s, d1, out=w)
     w += r
     w -= np.multiply(t, d2, out=r)
-    return _dot(w, w, b, w)
+    dist2 = _dot(w, w, b, w)
+    if ends is not None:
+        dist2[parallel] = ends
+    return dist2
 
 
 def segment_distance(seg_a, seg_b) -> float:
@@ -228,51 +238,47 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
 
     The potential sums |X_i||X_j| / dist(X_i, X_j)^2 over ordered segment
     pairs that share no vertex.  Cyclic separation k = 2 .. n // 2 takes
-    the pairs (i, i + k mod n), each once (i < n / 2 when 2k = n).  The
-    vertices, edges and lengths are stored coordinate-first, (dim, n), and
-    doubled, so segment i + k mod n of every i is a slice of a sliding
+    the n pairs (i, i + k mod n); they hold each unordered pair once, so
+    they count twice, except at 2k = n, where they are the ordered pairs.
+    The vertices, edges and lengths are stored coordinate-first, (dim, n),
+    and doubled, so segment i + k mod n of every i is a slice of a sliding
     window view: a pass builds no index arrays and gathers no segments.
     Whole separations are evaluated K at a time, as one (K, n) batch of
     about :data:`polygon.BLOCK_PAIRS` / 8 pairs, in a scratch of 2 dim + 5
-    values per pair allocated once per call; the 2k = n separation has a
-    pass of its own.  Every pair's distance is the same whatever the
-    batching.  The regular n-gon's term depends on k alone,
-    one circulant row ``ref``: the ordered pair (i, j) carries the excess
-    term - ref[(j - i) mod n].  ``value`` is the compensated sum of the
-    per-separation potentials minus that of the reference; the (n, n)
-    excess matrix is built only under ``keep_terms``.  For n = 3 every
-    pair is adjacent and the sum is vacuous (value 0, flagged).  Pairs
-    closer than 1e-12 L raise :class:`DoublePointError` naming the
-    smallest such (i, j), i < j, in row-major order, the chord kernel's
-    rule.
+    values per pair allocated once per call; every pair's distance is the
+    same whatever the batching.  On the regular n-gon, edges i and i + k
+    are closest at v_{i+1} and v_{i+k} (see PAPER.md), so its term is the
+    closed form ref_k = (sin(pi/n) / sin((min(k, n - k) - 1) pi/n))^2,
+    symmetric in k and n - k, and its potential is n sum_k ref_k.  The
+    ordered pair (i, j) carries the excess term - ref[(j - i) mod n];
+    ``value`` is the compensated sum of the per-separation potentials
+    minus the reference's, and the (n, n) excess matrix is built only
+    under ``keep_terms``.  For n = 3 every pair is adjacent and the sum is
+    vacuous (value 0, flagged).  Pairs closer than 1e-12 L raise
+    :class:`DoublePointError` naming the smallest such (i, j), i < j, in
+    row-major order, the chord kernel's rule.
     """
     n, L, ell = p.n, p.total_length, p.edge_lengths
     V = p.vertices.T
     E = np.roll(V, -1, axis=1) - V
     sq = np.einsum("ij,ij->j", E, E)
     V2, E2, ell2, sq2 = (_doubled_windows(x) for x in (V, E, ell, sq))
-    G = regular_ngon(n, L, dim=2).vertices.T
-    GE = np.roll(G, -1, axis=1) - G
-    gsq = np.einsum("ij,ij->j", GE, GE)
     sep = np.arange(2, n - 1)
     ref = np.zeros(n)
-    ref[sep] = (L / n) ** 2 / _squared_segment_distances(G[:, :1] - G[:, sep], GE[:, :1], GE[:, sep],
-                                                         gsq[0], gsq[sep])
+    ref[sep] = (math.sin(math.pi / n) / np.sin((np.minimum(sep, n - sep) - 1) * (math.pi / n))) ** 2
 
     terms = np.zeros((n, n)) if keep_terms else None
-    sums = np.zeros((3, n // 2 + 1))    # per separation: potential, reference, max |excess|
+    sums = np.zeros((2, n // 2 + 1))    # per separation: potential, max |excess|
     dim, thr2 = V.shape[0], (1e-12 * L) ** 2
     smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
     step = max(1, BLOCK_PAIRS // (8 * n))
-    batches = [(k0, min(k0 + step, (n + 1) // 2), n) for k0 in range(2, (n + 1) // 2, step)]
-    if n % 2 == 0:
-        batches.append((n // 2, n // 2 + 1, n // 2))
     work = np.empty((2 * dim + 5, step, n))     # r, then the distance scratch
-    for k0, k1, m in batches:           # separations k0 .. k1 - 1, segments i < m
+    for k0 in range(2, n // 2 + 1, step):     # separations k0 .. k1 - 1
+        k1 = min(k0 + step, n // 2 + 1)
         k = np.arange(k0, k1)
-        r = np.subtract(V[:, None, :m], V2[:, k0:k1, :m], out=work[:dim, :k.size, :m])
-        dist2 = _squared_segment_distances(r, E[:, None, :m], E2[:, k0:k1, :m], sq[:m],
-                                           sq2[k0:k1, :m], work[dim:, :k.size, :m])
+        r = np.subtract(V[:, None], V2[:, k0:k1], out=work[:dim, :k.size])
+        dist2 = _squared_segment_distances(r, E[:, None], E2[:, k0:k1], sq, sq2[k0:k1],
+                                           work[dim:, :k.size])
         d_min = float(dist2.min())
         smallest = min(smallest, d_min)
         if d_min < thr2:
@@ -281,26 +287,25 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
             pair = min(pair, int((np.minimum(i, j) * n + np.maximum(i, j)).min()))
         if pair < n * n:
             continue    # the energy is infinite; only the smallest double point is still wanted
-        vals = np.multiply(ell[:m], ell2[k0:k1, :m], out=r[0])
+        vals = np.multiply(ell, ell2[k0:k1], out=r[0])
         vals /= dist2
-        hi, lo = vals.max(axis=1), vals.min(axis=1)
-        # rounding is monotone, so max |vals - c| = max(hi - c, c - lo), bitwise
-        sums[:, k] = (2.0 * vals.sum(axis=1), m * (ref[k] + ref[n - k]),
-                      np.max([hi - ref[k], ref[k] - lo, hi - ref[n - k], ref[n - k] - lo], axis=0))
+        # rounding is monotone, so max |vals - c| = max(max vals - c, c - min vals), bitwise
+        sums[:, k] = (np.where(2 * k == n, 1.0, 2.0) * vals.sum(axis=1),
+                      np.maximum(vals.max(axis=1) - ref[k], ref[k] - vals.min(axis=1)))
         if keep_terms:
-            i = np.arange(m)
+            i = np.arange(n)
             j = (i + k[:, None]) % n
-            terms[i, j], terms[j, i] = vals - ref[k, None], vals - ref[n - k, None]
+            terms[i, j] = terms[j, i] = vals - ref[k, None]
     if pair < n * n:
         pair = divmod(pair, n)
         raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
 
-    potential, regular = math.fsum(sums[0]), math.fsum(sums[1])
+    potential, regular = math.fsum(sums[0]), n * math.fsum(ref)
     diag = {
         "potential": potential,
         "regular_ngon_potential": regular,
         "smallest_distance": None if math.isinf(smallest) else math.sqrt(smallest),
-        "largest_term": float(sums[2].max()),
+        "largest_term": float(sums[1].max()),
     }
     if n == 3:
         diag["vacuous_sum"] = True
@@ -329,8 +334,8 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
     quadrature nodes through :func:`polygon.inverse_square_chord_blocks`,
     each node pair once, with the band's separations 2 .. K zeroed in
     every block; the circle reference over the same pairs is one sum over
-    the separations.  Nodes closer than 1e-9 L raise
-    :class:`NotEmbeddedError`.
+    the separations.  Nodes closer than 1e-9 L, consecutive ones included,
+    raise :class:`NotEmbeddedError`.
     """
     if not 1e-10 <= tol <= 1e-3:
         raise InputError("tol must lie in [1e-10, 1e-3]")
@@ -363,7 +368,7 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
                     np.fill_diagonal(Q[:, m - k:], 0.0)
                 sums.append(float(Q.sum()))
                 largest = max(largest, float(Q.max()))
-        except DoublePointError:
+        except (DoublePointError, InputError):      # InputError: consecutive nodes coincide
             raise NotEmbeddedError("curve is not embedded at the quadrature resolution") from None
         ref = ref_coef / np.sin(np.pi * (np.arange(K + 1, m - K) * step) / L) ** 2
         off = 2.0 * math.fsum(sums) - m * math.fsum(ref)

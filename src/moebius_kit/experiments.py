@@ -187,13 +187,7 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
     for n in n_list:
         polygon = recovery_sequence(curve, n, tol=1e-9)
         e_n = discrete_moebius_energy(polygon).value
-        dist = curve_distance(
-            polygon.scaled(1.0 / polygon.total_length),
-            curve_1,
-            norm="W1q",
-            q=math.inf,
-            grid=2 * max(n, 256),
-        )
+        dist = curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm="W1q", q=math.inf)
         rows.append((n, e_n, abs(reference - e_n), dist))
     return GammaRecoveryReport(rows, reference, curve.kind)
 
@@ -270,13 +264,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     for n in n_list:
         polygon = make(curve, n)
         e_n = discrete_moebius_energy(polygon).value
-        dist = curve_distance(
-            polygon.scaled(1.0 / polygon.total_length),
-            curve_1,
-            norm="Lq",
-            q=1,
-            grid=2 * max(n, 256),
-        )
+        dist = curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm="Lq", q=1)
         rows.append((n, e_n, dist, abs(reference - e_n)))
 
     invalid = not rows[-1][2] < rows[0][2]

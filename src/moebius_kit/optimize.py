@@ -200,7 +200,9 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
     fails that began within the energy's noise ("energy_tol"); on the
     iteration budget; on a non-positive slope, or a search that began
     above the noise and failed, its step collapsed below 1e-16
-    ("stalled"); or at an approach to a double point ("barrier").
+    ("stalled"); or at an approach to a double point ("barrier").  Each
+    iteration records its state once, first, with a NaN gradient norm at
+    a barrier; the state after the last budgeted step ends the run.
     """
     cfg = cfg or OptimizerConfig()
     cert = p0.equilaterality()
@@ -211,18 +213,23 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
     trace = DescentTrace()
     energy = discrete_moebius_energy(p).value
 
-    for _ in range(cfg.max_iterations):
+    for iteration in range(cfg.max_iterations + 1):
         try:
             grad = energy_gradient(p)
+            gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
         except DoublePointError as exc:
-            trace.termination = "barrier"
-            trace.barrier_pair = exc.pair
-            break
-        gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
+            grad, gnorm, barrier_pair = None, math.nan, exc.pair
         trace.energies.append(energy)
         trace.grad_norms.append(gnorm)
         trace.steps.append(step)
 
+        if iteration == cfg.max_iterations:
+            trace.termination = "max_iterations"
+            break
+        if grad is None:
+            trace.termination = "barrier"
+            trace.barrier_pair = barrier_pair
+            break
         if gnorm < cfg.grad_tol:
             trace.termination = "gradient_tol"
             break
@@ -253,19 +260,9 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
             break
         p, energy = candidate, cand_energy
         step *= 1.5
-    else:
-        trace.termination = "max_iterations"
 
     trace.final_polygon = p
     trace.energy_gap = energy - regular_ngon_energy(n)
-    if not trace.energies or trace.energies[-1] != energy:
-        try:
-            gnorm = float(np.max(np.linalg.norm(energy_gradient(p), axis=1)))
-        except DoublePointError:
-            gnorm = math.nan
-        trace.energies.append(energy)
-        trace.grad_norms.append(gnorm)
-        trace.steps.append(step)
     return trace
 
 

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .curves import ArcLengthCurve
 from .errors import ConvergenceError, DoublePointError, InputError
 
 
@@ -257,10 +256,14 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
 
 
 def _as_sampler(obj):
-    """(eval, tangent, length, segment_count) view of a polygon or arc-length curve."""
+    """(eval, tangent, length, segment_count) view of a polygon or arc-length curve.
+
+    :mod:`curves` builds on this module's chord kernel, so an arc-length
+    curve is recognized by its ``eval``, ``tangent`` and ``length``.
+    """
     if isinstance(obj, ClosedPolygon):
         return obj.eval, obj.tangent_at, obj.total_length, obj.n
-    if isinstance(obj, ArcLengthCurve):
+    if all(hasattr(obj, name) for name in ("eval", "tangent", "length")):
         return obj.eval, obj.tangent, obj.length, 256
     raise InputError(f"cannot measure distances on {type(obj).__name__}")
 

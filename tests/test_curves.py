@@ -118,6 +118,56 @@ def test_bilipschitz_ellipse(ellipse_06):
     assert math.isfinite(est) and est >= 1.0
 
 
+def dense_bilipschitz_estimate(curve) -> float:
+    """The (512, 512) all-pairs arc/chord ratio, inflated by 1.05: a reference for the chord-kernel estimate."""
+    grid = 512
+    L = curve.length
+    s = np.arange(grid) * (L / grid)
+    pts = curve.eval(s)
+    chord = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    dint = mk.intrinsic_distance(L, s[:, None], s[None, :])
+    mask = ~np.eye(grid, dtype=bool)
+    if np.any(mask & (chord < 1e-9 * L) & (dint > 1e-3 * L)):
+        raise NotEmbeddedError("samples coincide")
+    ratio = np.where(mask, dint / np.where(chord == 0.0, np.inf, chord), 0.0)
+    return 1.05 * float(ratio.max())
+
+
+@pytest.mark.parametrize("curve", [
+    mk.circle(1.0), mk.circle(2.0, (0.0, 0.0, 1.0)), mk.ellipse(1.0, 0.6), mk.ellipse(1.0, 0.3),
+    mk.torus_knot(2, 3, 2.0, 1.0), mk.torus_knot(2, 5, 2.0, 1.0), mk.rounded_polygon(5, 1.0, 0.2),
+], ids=["circle", "circle-3d", "ellipse-0.6", "ellipse-0.3", "trefoil", "knot-2-5", "rounded-pentagon"])
+def test_bilipschitz_matches_dense_reference(curve):
+    c = mk.arclength_reparametrize(curve)
+    # within one ulp: the kernel's squared chords and d^2 Q round differently from d / |chord|
+    assert c.bilipschitz == pytest.approx(dense_bilipschitz_estimate(c), rel=2.3e-16, abs=0.0)
+
+
+class _SampledCircle:
+    """Circle sampled through a parameter map on [0, 1): samples that the map merges coincide."""
+
+    length = 1.0
+
+    def __init__(self, param):
+        self.param = param
+
+    def eval(self, s):
+        ang = 2.0 * math.pi * self.param(np.asarray(s, dtype=float))
+        return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
+@pytest.mark.parametrize("param", [
+    lambda s: np.maximum(s, 1.0 / 512),     # samples 0 and 1, consecutive
+    lambda s: 2.0 * s,                      # twice around: samples i and i + 256
+], ids=["consecutive", "half-length-apart"])
+def test_bilipschitz_coincident_samples_not_embedded(param):
+    with pytest.raises(NotEmbeddedError) as err:
+        mk.bilipschitz_estimate(_SampledCircle(param))
+    assert type(err.value) is NotEmbeddedError
+    with pytest.raises(NotEmbeddedError):
+        dense_bilipschitz_estimate(_SampledCircle(param))
+
+
 def test_bilipschitz_detects_double_point():
     # out-and-back segment traced from a sample table: exact double points
     t = np.linspace(0.0, 2.0 * math.pi, 65)[:-1]

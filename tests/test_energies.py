@@ -145,6 +145,18 @@ class TestSegmentDistance:
             assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("tilt", [1e-8, 1e-10])
+    @pytest.mark.parametrize("tilted", ["start", "end"])
+    @pytest.mark.parametrize("swap", [False, True], ids=["a-b", "b-a"])
+    def test_nearly_parallel_below_working_precision(self, tilt, tilted, swap):
+        # a e - b^2 rounds to 0 at these tilts; the closest pair is at the
+        # untilted end, at distance sqrt(1.25).  The reference formula above
+        # shares the clamped steps' shortfall, so it is no oracle here.
+        y = [0.5 + tilt, 0.5] if tilted == "start" else [0.5, 0.5 + tilt]
+        seg_a, seg_b = ([0, 0, 0], [1, 0, 0]), ([0, y[0], 1], [1, y[1], 1])
+        got = mk.segment_distance(*((seg_b, seg_a) if swap else (seg_a, seg_b)))
+        assert got == pytest.approx(math.sqrt(1.25), rel=1e-12, abs=0.0)
+
     def test_parallel_offset(self):
         d = mk.segment_distance(([0, 0, 0], [1, 0, 0]), ([0, 1, 0], [1, 1, 0]))
         assert d == pytest.approx(1.0, abs=1e-15)
@@ -187,6 +199,22 @@ class TestMinimumDistanceEnergy:
         assert mk.minimum_distance_energy(mk.regular_ngon(n, 2.0)).value == pytest.approx(
             0.0, abs=1e-10
         )
+
+    @pytest.mark.parametrize("n", range(4, 41))
+    def test_regular_reference_closed_form(self, n):
+        # every pair (i, i + k) of the regular n-gon by the reference formula
+        # against ref_k = (sin(pi/n) / sin((min(k, n - k) - 1) pi/n))^2
+        v = mk.regular_ngon(n, 1.0).vertices
+        ends = np.roll(v, -1, axis=0)
+        lengths = np.linalg.norm(ends - v, axis=1)
+        k = np.arange(2, n - 1)[:, None]
+        i, j = np.broadcast_arrays(np.arange(n), (np.arange(n) + k) % n)
+        brute = lengths[i] * lengths[j] / segment_distance_reference(v[i], ends[i], v[j], ends[j]) ** 2
+        closed = (math.sin(math.pi / n) / np.sin((np.minimum(k, n - k) - 1) * (math.pi / n))) ** 2
+        np.testing.assert_allclose(brute, np.broadcast_to(closed, brute.shape), rtol=1e-13, atol=0.0)
+        rep = mk.minimum_distance_energy(mk.regular_ngon(n, 1.0))
+        assert rep.diagnostics["regular_ngon_potential"] == pytest.approx(math.fsum(brute.ravel()),
+                                                                          rel=1e-13, abs=0.0)
 
     def test_triangle_vacuous(self):
         rep = mk.minimum_distance_energy(mk.regular_ngon(3, 1.0))
@@ -368,6 +396,20 @@ class TestSmoothEnergy:
 
         with pytest.raises(NotEmbeddedError) as err:
             mk.smooth_moebius_energy(TwiceAroundCircle(), tol=1e-8)
+        assert type(err.value) is NotEmbeddedError
+
+    def test_coincident_consecutive_nodes_are_not_embedded(self):
+        class StalledCircle:
+            """A unit-length circle that rests at its start: the first two nodes coincide."""
+
+            length = 1.0
+
+            def eval(self, s):
+                ang = 2.0 * math.pi * np.maximum(np.asarray(s, dtype=float), 1.5 / 256)
+                return np.stack([np.cos(ang), np.sin(ang)], axis=1) / (2.0 * math.pi)
+
+        with pytest.raises(NotEmbeddedError) as err:
+            mk.smooth_moebius_energy(StalledCircle(), tol=1e-8)
         assert type(err.value) is NotEmbeddedError
 
     def test_circle(self, circle_2pi):

@@ -1,17 +1,21 @@
-"""Energy, gradient and equilateral inscription at n = 16384 in bounded memory.
+"""Pair kernels and equilateral inscription at large n in bounded memory.
 
 Runs ``discrete_moebius_energy`` and ``energy_gradient`` on
-``regular_ngon(16384, 16384.0, dim=3)`` and ``inscribe_equilateral`` on
-the (2,3) trefoil (ring radius 2, tube radius 1), each under
-``tracemalloc``, and exits 1 unless all three traced peaks stay below
-64 MB (one (n, n) float64 array would take 2 GB), the energy is within
-1e-9 relative of the closed form ``regular_ngon_energy(n)``, max |g| <=
-1e-8 n / L (the regular n-gon is a critical point), the inscribed
-polygon's edge deviation is at most 1e-9 and its closing step
-L - b_{n-1} is certified: within [c/4, cap] and the first crossing of
-the chord length c, with the chord from b_{n-1} below c at every point
-b_{n-1} + c + j c/4 before L.  Takes several seconds, so it is kept out
-of the test suite.  Run from the repository root:
+``regular_ngon(16384, 16384.0, dim=3)``, ``minimum_distance_energy`` on
+``regular_ngon(4096, 4096.0, dim=3)`` and ``inscribe_equilateral`` on
+the (2,3) trefoil (ring radius 2, tube radius 1) at n = 16384, each
+under ``tracemalloc``, and exits 1 unless all four traced peaks stay
+below 64 MB (one (n, n) float64 array would take 2 GB at n = 16384),
+the energy is within 1e-9 relative of the closed form
+``regular_ngon_energy(n)``, max |g| <= 1e-8 n / L (the regular n-gon is
+a critical point), the regular 4096-gon's minimum distance energy is at
+most 1e-13 of its potential in magnitude (the energy is measured against
+the closed-form regular n-gon potential), the inscribed polygon's edge
+deviation is at most 1e-9 and its closing step L - b_{n-1} is
+certified: within [c/4, cap] and the first crossing of the chord length
+c, with the chord from b_{n-1} below c at every point b_{n-1} + c + j c/4
+before L.  Takes several seconds, so it is kept out of the test suite.
+Run from the repository root:
 
     PYTHONPATH=src python tools/check_large_n.py
 """
@@ -27,10 +31,12 @@ import numpy as np
 import moebius_kit as mk
 
 N = 16384
+N_MINDIST = 4096
 PEAK_LIMIT_MB = 64.0
 ENERGY_REL_TOL = 1e-9
 GRADIENT_TOL = 1e-8     # times n / L, the gradient's scale at unit edges
 EDGE_TOL = 1e-9
+MINDIST_REL_TOL = 1e-13     # |value| / potential on the regular n-gon
 
 
 def traced(fn, *args):
@@ -53,6 +59,9 @@ def main() -> int:
     rel = abs(report.value - exact) / exact
     g_max = float(np.abs(grad).max())
     g_tol = GRADIENT_TOL * N / p.total_length
+    mindist, mindist_mb, mindist_s = traced(mk.minimum_distance_energy,
+                                            mk.regular_ngon(N_MINDIST, float(N_MINDIST), dim=3))
+    mindist_rel = abs(mindist.value) / mindist.diagnostics["potential"]
     trefoil = mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0))
     (polygon, spec), inscribe_mb, inscribe_s = traced(mk.inscribe_equilateral, trefoil, N)
     edge_dev = polygon.equilaterality().max_edge_deviation
@@ -70,6 +79,10 @@ def main() -> int:
         (f"energy {report.value!r} vs closed form {exact!r}: rel {rel:.1e} <= {ENERGY_REL_TOL:g}",
          rel <= ENERGY_REL_TOL),
         (f"max |g| {g_max:.1e} <= {g_tol:.1e}", g_max <= g_tol),
+        (f"mindist peak {mindist_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({mindist_s:.1f} s)",
+         mindist_mb < PEAK_LIMIT_MB),
+        (f"mindist {mindist.value!r} of the regular {N_MINDIST}-gon: |value| / potential "
+         f"{mindist_rel:.1e} <= {MINDIST_REL_TOL:g}", mindist_rel <= MINDIST_REL_TOL),
         (f"inscription peak {inscribe_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({inscribe_s:.1f} s)",
          inscribe_mb < PEAK_LIMIT_MB),
         (f"inscription edge deviation {edge_dev:.1e} <= {EDGE_TOL:g}", edge_dev <= EDGE_TOL),
