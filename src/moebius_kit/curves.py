@@ -409,16 +409,21 @@ def bilipschitz_estimate(curve: ArcLengthCurve) -> float:
     :func:`polygon.inverse_square_chord_blocks` visits each pair once; C^2
     is the largest d^2 Q over the pairs it keeps.  Consecutive samples are
     left out: their ratio is 1 + O((kappa L / 512)^2), far below the
-    pi / 2 of the round circle, the least of any closed curve.  Raises :class:`NotEmbeddedError` when two samples,
-    at least L / 512 apart along the curve, lie within 1e-9 L of each
-    other (the kernel's barrier) or coincide.
+    pi / 2 of the round circle, the least of any closed curve.  Raises
+    :class:`NotEmbeddedError` when two samples, at least L / 512 apart
+    along the curve, lie within 1e-9 L of each other (the kernel's
+    barrier) or coincide, and :class:`InputError` when a sample is not
+    finite.
     """
     grid = 512
     L = curve.length
     s = np.arange(grid) * (L / grid)
+    pts = curve.eval(s)
+    if not np.isfinite(pts).all():
+        raise InputError("curve samples must be finite")
     largest = 0.0
     try:
-        for r0, Q, _ in inverse_square_chord_blocks(ClosedPolygon(curve.eval(s)), 1e-9 * L):
+        for r0, Q, _ in inverse_square_chord_blocks(ClosedPolygon(pts), 1e-9 * L):
             d = intrinsic_distance(L, s[r0:r0 + Q.shape[0], None], s[None, r0:])
             largest = max(largest, float((np.square(d, out=d) * Q).max()))
     except (DoublePointError, InputError):      # InputError: consecutive samples coincide

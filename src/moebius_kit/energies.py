@@ -170,7 +170,9 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     is relative to |r|, not to the coordinates.  Pairs whose a e - b^2
     rounds to 0 or below are parallel to working precision: the clamped
     steps can stop short of their closest pair, so they take the smallest
-    of the four endpoint-to-segment distances instead.  Every other pass
+    of the four endpoint-to-segment distances instead, which is exact for
+    segments that do not intersect (two that cross while parallel to
+    working precision are not caught).  Every other pass
     writes into ``work``, a (dim + 5, *pair shape) scratch array that a
     caller can reuse across batches; ``r`` is overwritten, and the result
     is a view into ``work``.
@@ -352,6 +354,8 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
         h = (K + 0.5) * step
         s = (np.arange(m) + 0.5) * step
         P = curve.eval(s)
+        if not np.isfinite(P).all():
+            raise InputError("curve nodes must be finite")
 
         second = np.roll(P, -1, axis=0) - 2.0 * P + np.roll(P, 1, axis=0)
         kappa_sq = np.einsum("ij,ij->i", second, second) / step**4

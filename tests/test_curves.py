@@ -168,6 +168,13 @@ def test_bilipschitz_coincident_samples_not_embedded(param):
         dense_bilipschitz_estimate(_SampledCircle(param))
 
 
+def test_bilipschitz_non_finite_samples_are_input_errors():
+    # a NaN sample is bad input, not a coincidence of two samples
+    with pytest.raises(InputError) as err:
+        mk.bilipschitz_estimate(_SampledCircle(lambda s: np.where(s > 0.5, np.nan, s)))
+    assert not isinstance(err.value, NotEmbeddedError)
+
+
 def test_bilipschitz_detects_double_point():
     # out-and-back segment traced from a sample table: exact double points
     t = np.linspace(0.0, 2.0 * math.pi, 65)[:-1]

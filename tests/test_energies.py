@@ -256,7 +256,7 @@ class TestMinimumDistanceEnergy:
 
     @pytest.mark.parametrize("n", [4, 5, 9, 10])
     def test_random_polygon_against_brute_force(self, n):
-        # even n exercises the half pass at separation n / 2
+        # even n exercises separation n / 2, counted once in the uniform batches
         self.check_against_brute_force(mk.random_equilateral_polygon(n, dim=3, seed=4))
 
     @pytest.mark.parametrize("n", [9, 10])
@@ -411,6 +411,20 @@ class TestSmoothEnergy:
         with pytest.raises(NotEmbeddedError) as err:
             mk.smooth_moebius_energy(StalledCircle(), tol=1e-8)
         assert type(err.value) is NotEmbeddedError
+
+    def test_non_finite_nodes_are_input_errors(self):
+        class BrokenCircle:
+            """A unit-length circle whose second half evaluates to NaN."""
+
+            length = 1.0
+
+            def eval(self, s):
+                ang = 2.0 * math.pi * np.where(np.asarray(s, dtype=float) > 0.5, np.nan, s)
+                return np.stack([np.cos(ang), np.sin(ang)], axis=1) / (2.0 * math.pi)
+
+        with pytest.raises(InputError) as err:
+            mk.smooth_moebius_energy(BrokenCircle(), tol=1e-8)
+        assert not isinstance(err.value, NotEmbeddedError)
 
     def test_circle(self, circle_2pi):
         rep = mk.smooth_moebius_energy(circle_2pi, tol=1e-8)
