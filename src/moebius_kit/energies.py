@@ -157,6 +157,13 @@ def _dot(x, y, out, tmp):
     return out
 
 
+def _cross(x, y):
+    """Cross product over the leading (coordinate) axis: (3, ...) in 3-D, (1, ...) in 2-D."""
+    if x.shape[0] == 2:
+        return x[:1] * y[1:] - x[1:] * y[:1]
+    return np.cross(x, y, axis=0)
+
+
 def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     """Squared distances between the segments p1 + s d1 and p2 + t d2, s, t in [0, 1], batched.
 
@@ -167,12 +174,14 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     closest to p1 + s d1, and s the point of the first closest to
     p2 + t d2, each clamped (Ericson, *Real-Time Collision Detection*,
     5.1.9).  The distance is |w| for w = r + s d1 - t d2, so its roundoff
-    is relative to |r|, not to the coordinates.  Pairs whose a e - b^2
-    rounds to 0 or below are parallel to working precision: the clamped
-    steps can stop short of their closest pair, so they take the smallest
-    of the four endpoint-to-segment distances instead, which is exact for
-    segments that do not intersect (two that cross while parallel to
-    working precision are not caught).  Every other pass
+    is relative to |r|, not to the coordinates.  Where a e - b^2 (a e times
+    the squared sine of the angle) falls below 1e-4 b^2, cancellation has
+    cost it 4 or more digits, so Lagrange's identity takes it and the
+    numerator of s from cross products: a e - b^2 = |d1 x d2|^2 and
+    b f - c e = (d1 x d2) . (d2 x r), and nearly parallel segments that
+    cross are caught.  Pairs with d1 x d2 = 0 are parallel: the clamped
+    steps can stop short there, so they take the smallest of the four
+    endpoint-to-segment distances, which is exact.  Every other pass
     writes into ``work``, a (dim + 5, *pair shape) scratch array that a
     caller can reuse across batches; ``r`` is overwritten, and the result
     is a view into ``work``.
@@ -186,6 +195,13 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     _dot(d2, r, f, w)
     denom = np.multiply(a, e, out=t)
     denom -= np.square(b, out=s)
+    near = np.less_equal(denom, np.multiply(s, 1e-4, out=w[0]))
+    has_near = bool(near.any())
+    if has_near:
+        rp, d1p, d2p = (np.broadcast_to(x, r.shape)[:, near] for x in (r, d1, d2))
+        normal = _cross(d1p, d2p)
+        denom[near] = np.einsum("i...,i...->...", normal, normal)
+        numer = np.einsum("i...,i...->...", normal, _cross(d2p, rp))
     parallel = denom <= 0.0
     ends = None
     if parallel.any():      # each endpoint against the other segment, before r is overwritten
@@ -199,6 +215,8 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     np.multiply(c, e, out=w[0])
     np.multiply(b, f, out=s)
     s -= w[0]
+    if has_near:
+        s[near] = numer
     s /= denom
     np.clip(s, 0.0, 1.0, out=s)
     np.multiply(b, s, out=t)

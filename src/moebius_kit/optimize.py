@@ -5,15 +5,16 @@ gradient of the discrete energy is turned into a direction tangent to
 the equal-edge constraint by one saddle-point solve in an order-3/2
 Sobolev metric (:func:`sobolev_direction`, after Yu, Schumacher and
 Crane, *Repulsive Curves*, 2021).  Each step is retracted onto closed
-equilateral polygons by :func:`project_equilateral_closed`, the
-alternating projection :func:`polygon.close_equilateral` that also
-closes the random sampler's polygons, and accepted by an Armijo
-backtracking line search.  The trace records the start and the state
-after each accepted step.  The descent only visits equilateral polygons,
-where the arc-distance part of the energy has zero gradient, so the
-gradient is that of the chord part alone (see :func:`energy_gradient`).
-Rigid alignment utilities compare minimizers against regular n-gons and
-circles.
+equilateral polygons by :func:`project_equilateral_closed`, the nearest
+such chain, whose edge directions point away from the geometric median
+of the step's edge vectors (a Newton solve in d unknowns), and accepted
+by an Armijo backtracking line search.  The trace records the start and
+the state after each accepted step.  The descent only visits equilateral
+polygons, where the arc-distance part of the energy has zero gradient,
+so the gradient is that of the chord part alone (see
+:func:`energy_gradient`).  :func:`align_rigid` compares minimizers
+against regular n-gons and circles; it scores all 2n cyclic relabelings
+of a polygon at once by FFT cross-correlation and runs one Kabsch solve.
 """
 
 from __future__ import annotations
@@ -122,12 +123,67 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     return grad
 
 
-def project_equilateral_closed(vertices) -> ClosedPolygon:
-    """Project a vertex chain onto closed polygons with n edges of the mean input length.
+def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
+    """Unit vectors u_i = (e_i - mu) / |e_i - mu| at the geometric median mu of the rows of e.
 
-    The chain's edges are closed by :func:`polygon.close_equilateral`
-    (relative edge deviation below 1e-12, closure residual below 1e-12
-    times the edge length); the result keeps the input's vertex centroid.
+    Damped Newton on phi(mu) = sum_i |e_i - mu| from mu = 0 (``norms``
+    holds the |e_i|): gradient -sum u_i, Hessian
+    sum (I - u_i u_i^T) / |e_i - mu| shifted by 1e-12 sum 1 / |e_i - mu| so
+    that collinear points keep it invertible, the step capped at the
+    farthest |e_i - mu| and halved until phi drops (up to n eps phi).
+    Stops once |sum u_i| is within the u_i's roundoff,
+    4 eps sum (|e_i| + |mu|) / |e_i - mu|.  Returns None once an iterate
+    comes within 1e-8 of the mean |e_i| of some e_i, where the
+    directions are undefined; that test, like every other, is invariant
+    under rigid motions of e.
+    """
+    n, dim = e.shape
+    eps = np.finfo(float).eps
+    near = 1e-8 * norms.mean()
+    mu, diff, r = np.zeros(dim), e, norms
+    phi = r.sum()
+    for _ in range(100):
+        if r.min() < near:
+            return None
+        inv_r = 1.0 / r
+        u = diff * inv_r[:, None]
+        g = u.sum(axis=0)
+        if np.linalg.norm(g) <= 4.0 * eps * float((norms + np.linalg.norm(mu)) @ inv_r):
+            return u
+        hess = -(u.T * inv_r) @ u
+        hess[np.diag_indices(dim)] += inv_r.sum() * (1.0 + 1e-12)
+        step = np.linalg.solve(hess, g)
+        size, far = np.linalg.norm(step), r.max()
+        if size > far:
+            step *= far / size
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(60):
+            trial = mu + t * step
+            trial_diff = e - trial
+            trial_r = np.sqrt(np.einsum("ij,ij->i", trial_diff, trial_diff))
+            trial_phi = trial_r.sum()
+            if trial_phi <= phi - 1e-4 * t * slope + n * eps * phi:
+                break
+            t *= 0.5
+        else:
+            raise ConvergenceError(f"geometric median line search failed at |sum u| {np.linalg.norm(g):.2e}")
+        mu, diff, r, phi = trial, trial_diff, trial_r, trial_phi
+    raise ConvergenceError(f"geometric median did not converge: |sum u| {np.linalg.norm(g):.2e}")
+
+
+def project_equilateral_closed(vertices, length: float | None = None) -> ClosedPolygon:
+    """Nearest closed chain of n edges of the given length, by default the mean input edge length.
+
+    The closed chain with every |e'_i| = l nearest the input edges e is
+    e'_i = l (e_i - mu) / |e_i - mu|, mu the geometric median of the e_i
+    (PAPER.md, "Retraction"; :func:`_median_directions`).  Subtracting
+    the mean edge once more moves edge lengths by |sum e'| / n only, so
+    edge deviation and closure residual stay below 1e-12 l.  Where the
+    median is within 1e-8 of the mean input edge length from an e_i, no
+    such chain exists (an obtuse planar triangle, for one), and
+    :func:`polygon.close_equilateral` closes the edges instead.  The
+    result keeps the input's vertex centroid.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):
@@ -135,10 +191,17 @@ def project_equilateral_closed(vertices) -> ClosedPolygon:
     if v.ndim != 2 or v.shape[0] < 3:
         raise InputError("need at least 3 vertices")
     e = np.roll(v, -1, axis=0) - v
-    lengths = np.linalg.norm(e, axis=1)
-    if np.any(lengths == 0.0):
+    norms = np.sqrt(np.einsum("ij,ij->i", e, e))
+    if np.any(norms == 0.0):
         raise InputError("degenerate chain: repeated consecutive vertices")
-    e = close_equilateral(e, lengths.sum() / v.shape[0])
+    if length is None:
+        length = norms.sum() / v.shape[0]
+    u = _median_directions(e, norms)
+    if u is None:
+        e = close_equilateral(e, length)
+    else:
+        e = length * u
+        e -= e.mean(axis=0)
     out = np.vstack([np.zeros(v.shape[1]), np.cumsum(e[:-1], axis=0)])
     out += v.mean(axis=0) - out.mean(axis=0)
     return ClosedPolygon(out)
@@ -188,10 +251,10 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
     """Descent for the discrete energy over the equilateral class.
 
     Each iteration steps along the direction x of :func:`sobolev_direction`,
-    retracts onto the class with :func:`project_equilateral_closed` and
-    rescales about the centroid to the start's length (the energy is
-    scale-invariant; without it the second-order growth of the length
-    in each step compounds).  The step t is dimensionless: the first
+    retracts onto the class with :func:`project_equilateral_closed` at
+    the start's edge length L / n (the energy is scale-invariant; without
+    that, the second-order growth of the length in each step compounds).
+    The step t is dimensionless: the first
     trial is ``cfg.initial_step``; a trial that fails the Armijo test
     E(t) <= E - 1e-4 t (g . x) is halved, and an accepted step is grown
     by 1.5 for the next iteration.  Terminates on the Euclidean gradient
@@ -245,9 +308,7 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         within_noise = step * slope < max(cfg.energy_tol, 1e-12) * max(1.0, abs(energy))
         while step * slope >= negligible and step >= 1e-16:
             try:
-                q = project_equilateral_closed(p.vertices - step * x)
-                centroid = q.vertices.mean(axis=0)
-                candidate = ClosedPolygon(centroid + (q.vertices - centroid) * (L / q.total_length))
+                candidate = project_equilateral_closed(p.vertices - step * x, L / n)
                 cand_energy = discrete_moebius_energy(candidate).value
             except (DoublePointError, ConvergenceError, InputError):
                 step *= 0.5
@@ -282,15 +343,43 @@ def _kabsch(source: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndar
     return R, t, rms
 
 
+def _best_relabeling(vertices: np.ndarray, target: np.ndarray) -> tuple[int, int]:
+    """(orientation, shift) of the relabeling v[(orientation (i + shift)) mod n] that fits target best.
+
+    For centred P and T, a relabeling's best proper rotation leaves
+    |P|^2 + |T|^2 - 2 K, K the sum of the singular values of
+    H = sum_i P_{sigma(i)}^T T_i with the smallest negated when det H < 0.
+    Over the shifts of one orientation H is a circular cross-correlation,
+    so all 2n take one ``rfft`` per side, one batched ``irfft`` and one
+    batched SVD.  Scores within 64 eps (|P|^2 + |T|^2) of the best tie;
+    the smallest (orientation, shift), +1 first, wins.
+    """
+    n, dim = vertices.shape
+    source = vertices - vertices.mean(axis=0)
+    centred = target - target.mean(axis=0)
+    # the reversed order P_{-j} has the spectrum conj(F P), so its shifts correlate too
+    fs = np.fft.rfft(source, axis=0)
+    ft = np.fft.rfft(centred, axis=0).conj()
+    spectra = np.stack([fs, fs.conj()])[..., :, None] * ft[:, None, :]
+    H = np.fft.irfft(spectra, n, axis=1).reshape(2 * n, dim, dim)
+    sigma = np.linalg.svd(H, compute_uv=False)
+    sigma[:, -1] *= np.where(np.linalg.det(H) < 0.0, -1.0, 1.0)
+    score = sigma.sum(axis=1)
+    margin = 64.0 * np.finfo(float).eps * (np.sum(source**2) + np.sum(centred**2))
+    reverse, shift = divmod(int(np.argmax(score >= score.max() - margin)), n)
+    return 1 - 2 * reverse, shift
+
+
 def align_rigid(p: ClosedPolygon, q) -> tuple[ClosedPolygon, float]:
     """Rigidly align p to a target polygon or curve, over cyclic shifts and orientations.
 
     The target is either a polygon with the same vertex count or an
     arc-length curve sampled at p's (proportionally matched) vertex
     parameters.  Rotation + translation only; reflections are reached by
-    reversing the traversal order, never by improper rotations.  Returns
-    the relabeled, transformed copy of p and the RMS residual; the
-    smallest shift index wins ties.
+    reversing the traversal order, never by improper rotations.  The
+    relabeling comes from :func:`_best_relabeling`, its motion and
+    residual from one Kabsch solve.  Returns the relabeled, transformed
+    copy of p and the RMS residual.
     """
     if isinstance(q, ClosedPolygon):
         if q.n != p.n:
@@ -305,16 +394,7 @@ def align_rigid(p: ClosedPolygon, q) -> tuple[ClosedPolygon, float]:
     else:
         raise InputError(f"cannot align to {type(q).__name__}")
 
-    n = p.n
-    best = None
-    idx = np.arange(n)
-    for orientation in (1, -1):
-        order = idx if orientation == 1 else (-idx) % n
-        for shift in range(n):
-            cand = p.vertices[(order + shift * orientation) % n]
-            R, t, rms = _kabsch(cand, target)
-            key = (rms, 0 if orientation == 1 else 1, shift)
-            if best is None or key < best[0]:
-                best = (key, cand @ R.T + t)
-    (rms, _, _), aligned = best
-    return ClosedPolygon(aligned), rms
+    orientation, shift = _best_relabeling(p.vertices, target)
+    relabeled = p.vertices[(orientation * (np.arange(p.n) + shift)) % p.n]
+    R, t, rms = _kabsch(relabeled, target)
+    return ClosedPolygon(relabeled @ R.T + t), rms

@@ -5,10 +5,11 @@ visits each unordered vertex pair once, and the discrete energy, its
 gradient, the smooth energy's quadrature and the random sampler's
 double-point check all consume its row blocks, so each runs in O(n)
 memory beyond a block of about :data:`BLOCK_PAIRS` entries.
-:func:`close_equilateral` is the one alternating projection onto closed
+:func:`close_equilateral` is the alternating projection onto closed
 equilateral chains: the random sampler closes Gaussian edges to unit
-length with it, and the descent's projection closes a vertex chain to its
-mean edge length.
+length with it, and the descent's nearest-point retraction
+(:func:`optimize.project_equilateral_closed`) falls back on it where no
+nearest chain exists.
 """
 
 from __future__ import annotations

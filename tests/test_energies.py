@@ -165,6 +165,16 @@ class TestSegmentDistance:
         d = mk.segment_distance(([0, -1], [0, 1]), ([-1, 0], [1, 0]))
         assert d == 0.0
 
+    @pytest.mark.parametrize("eps", [1e-3, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_nearly_parallel_crossing(self, eps, dim):
+        # a e - b^2 = 4 eps^2 rounds to 0 below eps ~ 1e-8; the crossing is at x = 1/2
+        pad = [0.0] * (dim - 2)
+        seg_a = ([0.0, 0.0, *pad], [1.0, 0.0, *pad])
+        seg_b = ([0.0, -eps, *pad], [1.0, eps, *pad])
+        assert mk.segment_distance(seg_a, seg_b) == 0.0
+        assert mk.segment_distance(seg_b, seg_a) == 0.0
+
     def test_skew_vs_brute_force(self):
         a0, a1 = np.array([0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])
         b0, b1 = np.array([0.0, 0.5, 1.0]), np.array([1.0, 0.5, 1.0])
@@ -278,6 +288,15 @@ class TestMinimumDistanceEnergy:
         with pytest.raises(DoublePointError) as err:
             mk.minimum_distance_energy(bowtie)
         assert err.value.pair == (0, 2)
+
+    def test_nearly_parallel_crossing_rejected(self):
+        # edge 3 crosses edge 0 at (1/2, 0) at an angle of 2.8e-9: a e - b^2
+        # rounds to 0 there, yet the pair must not count as 1e-9 apart
+        eps = 1.4e-9
+        p = mk.ClosedPolygon([[0, 0], [1, 0], [1, -1], [1.2, eps], [-0.2, -eps], [-0.2, 1]])
+        with pytest.raises(DoublePointError) as err:
+            mk.minimum_distance_energy(p)
+        assert err.value.pair == (0, 3)
 
     def test_double_point_ties_report_smallest_pair(self):
         # vertex 0 lies on segment 4 and vertex 2 on segment 3, so the pairs

@@ -8,6 +8,7 @@ import moebius_kit as mk
 from moebius_kit import optimize, polygon
 from moebius_kit.cli import main
 from moebius_kit.errors import DoublePointError, InputError
+from moebius_kit.polygon import close_equilateral
 
 
 def rotation_2d(angle):
@@ -148,6 +149,38 @@ class TestProjection:
         assert cert.max_edge_deviation <= 1e-12
         assert cert.closure_residual <= 1e-12
         assert np.linalg.norm(out.vertices.mean(axis=0) - chain.mean(axis=0)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [8, 16, 64, 256])
+    @pytest.mark.parametrize("t", [1e-3, 1e-2, 0.1])
+    def test_trial_step_is_retracted_to_the_nearest_chain(self, n, t):
+        p = mk.random_equilateral_polygon(n, dim=3, seed=n)
+        v = p.vertices - t * mk.sobolev_direction(p, mk.energy_gradient(p))
+        e = np.roll(v, -1, axis=0) - v
+        length = np.linalg.norm(e, axis=1).mean()
+        out = mk.project_equilateral_closed(v)
+        cert = out.equilaterality()
+        assert cert.max_edge_deviation <= 1e-12
+        assert cert.closure_residual < 1e-12 * length
+        nearest = np.linalg.norm(out.edge_vectors() - e)
+        alternating = np.linalg.norm(close_equilateral(e, length) - e)
+        # both results are feasible only to 1e-12 l per edge
+        assert nearest <= alternating + 1e-12 * length * math.sqrt(n)
+
+    def test_obtuse_triangle_falls_back_to_alternating_projection(self, monkeypatch):
+        # the edge vectors' geometric median is the obtuse corner (-0.1, -0.05):
+        # no three unit directions from it sum to zero
+        v = np.array([[0.0, 0.0], [1.0, 0.0], [0.1, 0.05]])
+        calls = []
+        monkeypatch.setattr(optimize, "close_equilateral",
+                            lambda *args: calls.append(args) or close_equilateral(*args))
+        out = mk.project_equilateral_closed(v)
+        assert len(calls) == 1
+        cert = out.equilaterality()
+        assert cert.max_edge_deviation <= 1e-12
+        assert cert.closure_residual < 1e-12
+        assert np.linalg.norm(out.vertices.mean(axis=0) - v.mean(axis=0)) <= 1e-12
+        mk.project_equilateral_closed(mk.random_equilateral_polygon(16, dim=3, seed=0).vertices * 1.01)
+        assert len(calls) == 1
 
 
 def equal_edge_rows(p, x):
@@ -298,3 +331,61 @@ class TestAlignRigid:
     def test_dimension_mismatch(self):
         with pytest.raises(InputError):
             mk.align_rigid(mk.regular_ngon(5, 1.0, dim=2), mk.regular_ngon(5, 1.0, dim=3))
+
+
+def kabsch_over_relabelings(p, target):
+    """Reference alignment: one Kabsch solve per cyclic shift and orientation, best first.
+
+    Rows (rms, orientation, shift, aligned vertices), relabeling i -> orientation (i + shift).
+    """
+    n = p.n
+    rows = []
+    for orientation in (1, -1):
+        for shift in range(n):
+            cand = p.vertices[(orientation * (np.arange(n) + shift)) % n]
+            R, t, rms = optimize._kabsch(cand, target)
+            rows.append((rms, orientation, shift, cand @ R.T + t))
+    return sorted(rows, key=lambda row: row[:3])
+
+
+def alignment_targets(p, seed):
+    rng = np.random.default_rng(seed)
+    n, dim = p.n, p.dim
+    moved = np.roll(p.vertices[::-1], int(rng.integers(n)), axis=0) + rng.standard_normal(dim)
+    yield mk.random_equilateral_polygon(n, dim=dim, seed=seed + 1)
+    yield mk.regular_ngon(n, p.total_length, dim=dim)
+    yield mk.ClosedPolygon(moved + 1e-3 * rng.standard_normal((n, dim)))
+    curve = mk.ellipse(1.0, 0.6) if dim == 2 else mk.torus_knot(2, 3, 2.0, 1.0)
+    yield mk.arclength_reparametrize(curve)
+
+
+class TestFFTAlignment:
+    @pytest.mark.parametrize("n", [5, 8, 13, 64, 200])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_matches_kabsch_on_every_relabeling(self, n, dim):
+        p = mk.random_equilateral_polygon(n, dim=dim, seed=n)
+        for q in alignment_targets(p, seed=n + dim):
+            target = q.vertices if isinstance(q, mk.ClosedPolygon) else q.eval(
+                p.arc_params * (q.length / p.total_length))
+            rows = kabsch_over_relabelings(p, target)
+            aligned, rms = mk.align_rigid(p, q)
+            assert rms == pytest.approx(rows[0][0], rel=1e-12, abs=1e-15 * p.total_length)
+            if rows[1][0] - rows[0][0] > 1e-9 * p.total_length:     # a unique best relabeling
+                assert optimize._best_relabeling(p.vertices, target) == rows[0][1:3]
+                assert np.abs(aligned.vertices - rows[0][3]).max() <= 1e-12 * p.total_length
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_regular_ngon_to_itself_keeps_its_labels(self, n, dim):
+        # every shift ties here, and in 3-D the reversed order too
+        g = mk.regular_ngon(n, 1.0, dim=dim)
+        assert optimize._best_relabeling(g.vertices, g.vertices) == (1, 0)
+        aligned, rms = mk.align_rigid(g, g)
+        assert rms <= 1e-15
+        assert np.abs(aligned.vertices - g.vertices).max() <= 1e-15
+
+    def test_planted_relabeling_is_recovered(self):
+        p = mk.random_equilateral_polygon(50, dim=3, seed=3)
+        orientation, shift = -1, 17
+        q = mk.ClosedPolygon(p.vertices[(orientation * (np.arange(50) + shift)) % 50] + 2.0)
+        assert optimize._best_relabeling(p.vertices, q.vertices) == (orientation, shift)

@@ -1,4 +1,4 @@
-"""Pair kernels and equilateral inscription at large n in bounded memory.
+"""Pair kernels, equilateral inscription, retraction and alignment at large n in bounded memory.
 
 Runs ``discrete_moebius_energy`` and ``energy_gradient`` on
 ``regular_ngon(16384, 16384.0, dim=3)``, ``minimum_distance_energy`` on
@@ -14,7 +14,14 @@ the closed-form regular n-gon potential), the inscribed polygon's edge
 deviation is at most 1e-9 and its closing step L - b_{n-1} is
 certified: within [c/4, cap] and the first crossing of the chord length
 c, with the chord from b_{n-1} below c at every point b_{n-1} + c + j c/4
-before L.  Takes several seconds, so it is kept out of the test suite.
+before L.  It also retracts one trial step of the regular 16384-gon (a
+seeded Gaussian step of 0.01 edge per coordinate) with
+``project_equilateral_closed``, and aligns a rotated, reversed and
+relabeled copy of a random equilateral 16384-gon to the original with
+``align_rigid``, again each below 64 MB traced: the retraction must leave
+edge deviation and closure residual over the edge at most 1e-12, and the
+alignment must recover the planted relabeling with RMS residual at most
+1e-9 L.  Takes several seconds, so it is kept out of the test suite.
 Run from the repository root:
 
     PYTHONPATH=src python tools/check_large_n.py
@@ -29,6 +36,7 @@ import tracemalloc
 import numpy as np
 
 import moebius_kit as mk
+from moebius_kit.optimize import _best_relabeling
 
 N = 16384
 N_MINDIST = 4096
@@ -37,6 +45,10 @@ ENERGY_REL_TOL = 1e-9
 GRADIENT_TOL = 1e-8     # times n / L, the gradient's scale at unit edges
 EDGE_TOL = 1e-9
 MINDIST_REL_TOL = 1e-13     # |value| / potential on the regular n-gon
+RETRACTION_TOL = 1e-12      # edge deviation, and closure residual over the edge
+STEP = 0.01                 # trial step per coordinate, in edges
+ALIGN_TOL = 1e-9            # RMS residual over L
+PLANTED = (-1, 5000)        # orientation, shift of the relabeled copy
 
 
 def traced(fn, *args):
@@ -71,6 +83,20 @@ def main() -> int:
     closing = L - spec.b[-1]
     grid = np.arange(c, closing - 1e-13 * L, 0.25 * c)
     below = np.linalg.norm(trefoil.eval(spec.b[-1] + grid) - polygon.vertices[-1], axis=1) < c
+    regular = mk.regular_ngon(N, float(N), dim=3)
+    step = STEP * np.random.default_rng(0).standard_normal((N, 3))
+    retracted, retract_mb, retract_s = traced(mk.project_equilateral_closed, regular.vertices + step)
+    cert = retracted.equilaterality()
+    closure = cert.closure_residual / (retracted.total_length / N)
+    original = mk.random_equilateral_polygon(N, dim=3, seed=0)
+    rotation, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
+    rotation *= np.linalg.det(rotation)       # proper: det +1
+    orientation, shift = PLANTED
+    copy = mk.ClosedPolygon(original.vertices[(orientation * (np.arange(N) + shift)) % N] @ rotation.T
+                            + np.array([3.0, -1.0, 2.0]))
+    (_, rms), align_mb, align_s = traced(mk.align_rigid, original, copy)
+    relabeling = _best_relabeling(original.vertices, copy.vertices)
+    align_tol = ALIGN_TOL * original.total_length
     checks = [
         (f"energy peak {energy_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({energy_s:.1f} s)",
          energy_mb < PEAK_LIMIT_MB),
@@ -88,6 +114,14 @@ def main() -> int:
         (f"inscription edge deviation {edge_dev:.1e} <= {EDGE_TOL:g}", edge_dev <= EDGE_TOL),
         (f"closing step {closing:.6e} in [c/4, cap] = [{0.25 * c:.6e}, {cap:.6e}], "
          f"first crossing on {grid.size} probes", 0.25 * c <= closing <= cap and bool(below.all())),
+        (f"retraction peak {retract_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({retract_s:.2f} s)",
+         retract_mb < PEAK_LIMIT_MB),
+        (f"retraction edge deviation {cert.max_edge_deviation:.1e}, closure {closure:.1e} edges "
+         f"<= {RETRACTION_TOL:g}", max(cert.max_edge_deviation, closure) <= RETRACTION_TOL),
+        (f"alignment peak {align_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({align_s:.2f} s)",
+         align_mb < PEAK_LIMIT_MB),
+        (f"alignment rms {rms:.1e} <= {align_tol:.1e}, relabeling {relabeling} == {PLANTED}",
+         rms <= align_tol and relabeling == PLANTED),
     ]
     for text, ok in checks:
         print(f"{'PASS' if ok else 'FAIL'}: {text}")
