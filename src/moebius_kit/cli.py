@@ -199,7 +199,8 @@ def cmd_minimize(args) -> int:
     print(format_value(trace.energies[-1]))
     print(
         f"gap to regular n-gon {format_value(trace.energy_gap)}"
-        f" after {trace.iterations} iterations ({trace.termination})"
+        f" after {trace.iterations} iterations ({trace.termination}),"
+        f" {trace.rejected_steps} rejected trial steps"
     )
     if trace.termination == "max_iterations":
         print(f"error: descent hit the iteration budget of {args.max_iter} without converging",

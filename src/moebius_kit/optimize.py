@@ -9,9 +9,14 @@ equilateral polygons by :func:`project_equilateral_closed`, the nearest
 such chain, whose edge directions point away from the geometric median
 of the step's edge vectors (a Newton solve in d unknowns), and accepted
 by an Armijo backtracking line search.  The trace records the start and
-the state after each accepted step.  The descent only visits equilateral
-polygons, where the arc-distance part of the energy has zero gradient,
-so the gradient is that of the chord part alone (see
+the state after each accepted step, and counts the rejected trial steps.
+At the sizes descents run at, an iteration's cost is per-call overhead,
+so it reads each polygon's edges once (:class:`polygon.ClosedPolygon`
+keeps them), calls LAPACK directly for its small dense solves, and
+shifts cyclically by concatenating slices; the tests hold it bit for bit
+to the ``scipy.linalg.solve`` and ``np.roll`` forms.  The descent only
+visits equilateral polygons, where the arc-distance part of the energy
+has zero gradient, so the gradient is that of the chord part alone (see
 :func:`energy_gradient`).  :func:`align_rigid` compares minimizers
 against regular n-gons and circles; it scores all 2n cyclic relabelings
 of a polygon at once by FFT cross-correlation and runs one Kabsch solve.
@@ -22,9 +27,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import circulant, solve
+from scipy.linalg.lapack import dgesv, dposv
 
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
@@ -56,6 +62,7 @@ class DescentTrace:
     termination: str = ""
     energy_gap: float = math.nan          # final energy minus the regular n-gon value
     barrier_pair: tuple | None = None     # offending vertex pair on "barrier" exits
+    rejected_steps: int = 0               # trial steps the line search halved
 
     @property
     def iterations(self) -> int:
@@ -119,7 +126,7 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
             grad[r0:, k] -= force.sum(axis=0)
     grad *= -4.0
     edge_pull = (2.0 * pull)[:, None] * p.unit_edges()
-    grad += np.roll(edge_pull, 1, axis=0) - edge_pull
+    grad += np.concatenate((edge_pull[-1:], edge_pull[:-1])) - edge_pull
     return grad
 
 
@@ -148,12 +155,16 @@ def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
         inv_r = 1.0 / r
         u = diff * inv_r[:, None]
         g = u.sum(axis=0)
-        if np.linalg.norm(g) <= 4.0 * eps * float((norms + np.linalg.norm(mu)) @ inv_r):
+        # d-vector norms as np.linalg.norm takes them, sqrt(x . x)
+        gnorm = math.sqrt(g @ g)
+        if gnorm <= 4.0 * eps * float((norms + math.sqrt(mu @ mu)) @ inv_r):
             return u
         hess = -(u.T * inv_r) @ u
-        hess[np.diag_indices(dim)] += inv_r.sum() * (1.0 + 1e-12)
-        step = np.linalg.solve(hess, g)
-        size, far = np.linalg.norm(step), r.max()
+        hess.flat[::dim + 1] += inv_r.sum() * (1.0 + 1e-12)
+        _, _, step, info = dgesv(hess, g)
+        if info != 0:
+            raise ConvergenceError(f"geometric median Hessian singular (LAPACK info {info})")
+        size, far = math.sqrt(step @ step), r.max()
         if size > far:
             step *= far / size
         slope = float(g @ step)
@@ -167,9 +178,9 @@ def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
                 break
             t *= 0.5
         else:
-            raise ConvergenceError(f"geometric median line search failed at |sum u| {np.linalg.norm(g):.2e}")
+            raise ConvergenceError(f"geometric median line search failed at |sum u| {gnorm:.2e}")
         mu, diff, r, phi = trial, trial_diff, trial_r, trial_phi
-    raise ConvergenceError(f"geometric median did not converge: |sum u| {np.linalg.norm(g):.2e}")
+    raise ConvergenceError(f"geometric median did not converge: |sum u| {gnorm:.2e}")
 
 
 def project_equilateral_closed(vertices, length: float | None = None) -> ClosedPolygon:
@@ -182,29 +193,61 @@ def project_equilateral_closed(vertices, length: float | None = None) -> ClosedP
     edge deviation and closure residual stay below 1e-12 l.  Where the
     median is within 1e-8 of the mean input edge length from an e_i, no
     such chain exists (an obtuse planar triangle, for one), and
-    :func:`polygon.close_equilateral` closes the edges instead.  The
-    result keeps the input's vertex centroid.
+    :func:`polygon.close_equilateral` closes the edges instead.  Where
+    that stalls too (planar 4-gons folding onto a rhombus), the nearest
+    chain to the edges after a few of its sweeps is taken
+    (:func:`_swept_median_directions`).  The result keeps the input's
+    vertex centroid.  Means are taken as sums over n, as ``np.mean`` does.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):
         v = vertices.vertices
     if v.ndim != 2 or v.shape[0] < 3:
         raise InputError("need at least 3 vertices")
-    e = np.roll(v, -1, axis=0) - v
+    n = v.shape[0]
+    e = np.concatenate((v[1:], v[:1])) - v
     norms = np.sqrt(np.einsum("ij,ij->i", e, e))
     if np.any(norms == 0.0):
         raise InputError("degenerate chain: repeated consecutive vertices")
     if length is None:
-        length = norms.sum() / v.shape[0]
+        length = norms.sum() / n
     u = _median_directions(e, norms)
     if u is None:
-        e = close_equilateral(e, length)
-    else:
+        try:
+            e = close_equilateral(e, length)
+        except ConvergenceError:
+            u = _swept_median_directions(e, length)
+            if u is None:
+                raise
+    if u is not None:
         e = length * u
-        e -= e.mean(axis=0)
-    out = np.vstack([np.zeros(v.shape[1]), np.cumsum(e[:-1], axis=0)])
-    out += v.mean(axis=0) - out.mean(axis=0)
+        e -= e.sum(axis=0) / n
+    out = np.empty_like(e)
+    out[0] = 0.0
+    np.cumsum(e[:-1], axis=0, out=out[1:])
+    out += v.sum(axis=0) / n - out.sum(axis=0) / n
     return ClosedPolygon(out)
+
+
+def _swept_median_directions(e: np.ndarray, length: float) -> np.ndarray | None:
+    """Median directions of e after at most 8 alternating projection sweeps, or None.
+
+    Each sweep scales every edge to ``length`` and subtracts the mean
+    edge, as :func:`polygon.close_equilateral` does; the first swept
+    chain whose geometric median lies off its edge vectors gives the
+    directions (:func:`_median_directions`).  None when an edge collapses
+    below 1e-8 ``length`` or the sweeps run out.
+    """
+    for _ in range(8):
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e))
+        if norms.min() < 1e-8 * length:
+            return None
+        e = e * (length / norms)[:, None]
+        e -= e.mean(axis=0)
+        u = _median_directions(e, np.sqrt(np.einsum("ij,ij->i", e, e)))
+        if u is not None:
+            return u
+    return None
 
 
 def sobolev_direction(p: ClosedPolygon, grad: np.ndarray) -> np.ndarray:
@@ -217,34 +260,53 @@ def sobolev_direction(p: ClosedPolygon, grad: np.ndarray) -> np.ndarray:
     second difference over h^2 (h = L / n) and lambda_1 its smallest
     nonzero eigenvalue (see PAPER.md, "Descent metric").  G is circulant,
     so G^{-1} is applied through its spectrum by an FFT, and lam solves the
-    (n - 1) x (n - 1) Schur system C G^{-1} C^T lam = C G^{-1} grad.  The
-    rows of C and a translation-invariant gradient each sum to zero per
-    coordinate, so x has zero mean without translation rows.  x scales
-    like a length, and grad . x = x^T G x > 0 unless x = 0.
+    (n - 1) x (n - 1) Schur system C G^{-1} C^T lam = C G^{-1} grad by one
+    LAPACK Cholesky solve (``dposv``).  The rows of C and a
+    translation-invariant gradient each sum to zero per coordinate, so x
+    has zero mean without translation rows.  x scales like a length, and
+    grad . x = x^T G x > 0 unless x = 0.  The spectrum and the circulant
+    depend on n and L only (:func:`_sobolev_spectrum`).
     """
     n = p.n
-    L = p.total_length
-    h = L / n
-    lap = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / h**2
-    g_inv = 1.0 / (L * (lap**1.5 + lap[1] ** 1.5))       # spectrum of G^{-1}
+    g_inv, circ = _sobolev_spectrum(n, p.total_length)
 
     def apply_g_inv(y):
-        return np.fft.irfft(np.fft.rfft(y, axis=0) * g_inv[:, None], n, axis=0)
+        return np.fft.irfft(np.fft.rfft(y, axis=0) * g_inv, n, axis=0)
 
     # C = D J: row i of J takes a vertex motion y to the change u_i . (y_{i+1} - y_i)
     # of edge i, and D to differences of consecutive edges.  J G^{-1} J^T is
     # (u u^T) o F G^{-1} F^T, with F the forward difference (symbol 2 - 2 cos).
     u = p.unit_edges()
-    gram = circulant(np.fft.irfft(lap * h**2 * g_inv, n))
-    gram *= u @ u.T
+    gram = u @ u.T
+    gram *= circ
     y = apply_g_inv(grad)
-    dl = np.einsum("ij,ij->i", u, np.roll(y, -1, axis=0) - y)
-    lam = solve(np.diff(np.diff(gram, axis=0), axis=1), dl[:-1] - dl[1:], assume_a="pos")
+    dl = np.einsum("ij,ij->i", u, np.concatenate((y[1:], y[:1])) - y)
+    _, lam, info = dposv(np.diff(np.diff(gram, axis=0), axis=1), dl[:-1] - dl[1:])
+    if info != 0:
+        raise ConvergenceError(f"Sobolev Schur system not positive definite (LAPACK info {info})")
     mu = np.zeros(n)                      # D^T lam
     mu[:-1] += lam
     mu[1:] -= lam
     w = mu[:, None] * u                   # J^T mu = w_{i-1} - w_i at vertex i
-    return apply_g_inv(grad - (np.roll(w, 1, axis=0) - w))
+    return apply_g_inv(grad - (np.concatenate((w[-1:], w[:-1])) - w))
+
+
+@lru_cache(maxsize=4)
+def _sobolev_spectrum(n: int, L: float) -> tuple[np.ndarray, np.ndarray]:
+    """Spectrum of G^{-1} as a column over the rfft modes, and the circulant F G^{-1} F^T.
+
+    Both are read-only and shared by every call at the same n and L; a
+    descent retracts each step to the start's length, so it mostly hits.
+    """
+    h = L / n
+    lap = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / h**2
+    g_inv = 1.0 / (L * (lap**1.5 + lap[1] ** 1.5))
+    first = np.fft.irfft(lap * h**2 * g_inv, n)
+    k = np.arange(n)
+    circ = first[k[:, None] - k]          # negative indices wrap: entry (i, j) is first[(i - j) mod n]
+    g_inv = g_inv[:, None]
+    g_inv.flags.writeable = circ.flags.writeable = False
+    return g_inv, circ
 
 
 def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = None) -> DescentTrace:
@@ -312,10 +374,12 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
                 cand_energy = discrete_moebius_energy(candidate).value
             except (DoublePointError, ConvergenceError, InputError):
                 step *= 0.5
+                trace.rejected_steps += 1
                 continue
             if cand_energy <= energy - 1e-4 * step * slope:
                 break
             step *= 0.5
+            trace.rejected_steps += 1
         else:
             trace.termination = "energy_tol" if within_noise else "stalled"
             break

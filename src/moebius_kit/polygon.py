@@ -9,7 +9,9 @@ memory beyond a block of about :data:`BLOCK_PAIRS` entries.
 equilateral chains: the random sampler closes Gaussian edges to unit
 length with it, and the descent's nearest-point retraction
 (:func:`optimize.project_equilateral_closed`) falls back on it where no
-nearest chain exists.
+nearest chain exists.  A :class:`ClosedPolygon` forms its edge vectors
+once, so the descent's gradient, Sobolev direction and equilaterality
+check all read the same array.
 """
 
 from __future__ import annotations
@@ -46,7 +48,9 @@ class ClosedPolygon:
     """Closed polygon given by its vertex list (closure implicit, v_1 not repeated).
 
     Derived quantities: edge lengths l_i = |v_{i+1} - v_i| (indices mod n),
-    arc parameters a_i = sum_{k<i} l_k, and the total length.
+    arc parameters a_i = sum_{k<i} l_k, and the total length.  The edge
+    vectors are formed once, at construction; :meth:`edge_vectors` hands
+    out copies and :meth:`unit_edges` a read-only array made on first use.
     """
 
     def __init__(self, vertices):
@@ -57,12 +61,14 @@ class ClosedPolygon:
             raise InputError("a closed polygon needs at least 3 vertices")
         if not np.all(np.isfinite(v)):
             raise InputError("vertices must be finite")
-        edges = np.roll(v, -1, axis=0) - v
+        edges = np.concatenate((v[1:], v[:1])) - v
         lengths = np.linalg.norm(edges, axis=1)
         if np.any(lengths == 0.0):
             idx = int(np.argmin(lengths))
             raise InputError(f"zero-length edge at index {idx}: consecutive vertices coincide")
         self.vertices = v
+        self._edges = edges
+        self._unit_edges = None
         self.edge_lengths = lengths
         self.arc_params = np.concatenate([[0.0], np.cumsum(lengths[:-1])])
         self.total_length = float(lengths.sum())
@@ -76,11 +82,13 @@ class ClosedPolygon:
         return self.vertices.shape[1]
 
     def edge_vectors(self) -> np.ndarray:
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return self._edges.copy()
 
     def unit_edges(self) -> np.ndarray:
-        e = self.edge_vectors()
-        return e / self.edge_lengths[:, None]
+        if self._unit_edges is None:
+            self._unit_edges = self._edges / self.edge_lengths[:, None]
+            self._unit_edges.flags.writeable = False
+        return self._unit_edges
 
     def eval(self, t):
         """Arc-length parametrized point(s): piecewise linear, t modulo the length."""
@@ -98,7 +106,7 @@ class ClosedPolygon:
     def equilaterality(self) -> EquilateralityCertificate:
         mean = self.total_length / self.n
         dev = float(np.max(np.abs(self.edge_lengths - mean))) / mean
-        closure = float(np.linalg.norm(self.edge_vectors().sum(axis=0)))
+        closure = float(np.linalg.norm(self._edges.sum(axis=0)))
         return EquilateralityCertificate(dev, closure)
 
     def scaled(self, factor: float) -> "ClosedPolygon":

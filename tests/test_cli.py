@@ -279,3 +279,13 @@ def test_bad_usage_exits_1():
         text=True,
     )
     assert proc.returncode == 1
+
+
+def test_minimize_reports_rejected_trial_steps(tmp_path, capsys):
+    rc = main(["minimize", "--n", "8", "--seed", "0", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    summary = capsys.readouterr().out.splitlines()[-1]
+    trace = mk.minimize_discrete_energy(mk.random_equilateral_polygon(8, dim=3, seed=0))
+    assert summary.endswith(f"), {trace.rejected_steps} rejected trial steps")
+    header = (tmp_path / "trace.csv").read_text().splitlines()[0]
+    assert header == "iter,energy,grad_norm,step"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import moebius_kit as mk
+from moebius_kit import curves
 from moebius_kit.errors import InputError, NotEmbeddedError
 
 
@@ -198,3 +199,26 @@ def test_descriptor_loading():
 def test_reparametrize_node_floor():
     with pytest.raises(InputError):
         mk.arclength_reparametrize(mk.circle(1.0), nodes=128)
+
+
+def test_reparametrize_compares_half_and_full_tables(monkeypatch):
+    # a curve that agrees at once gets its table at `nodes` from two Gauss passes
+    sizes = []
+    gauss = curves._cumulative_gauss
+    monkeypatch.setattr(curves, "_cumulative_gauss", lambda c, k: sizes.append(k) or gauss(c, k))
+    c = mk.arclength_reparametrize(mk.ellipse(1.0, 0.6), nodes=2048)
+    assert sizes == [1024, 2048]
+    assert c.s_table.size == 2049
+
+
+def test_reparametrize_refines_when_the_first_comparison_fails(monkeypatch):
+    # the flat ellipse's speed turns within about b of its ends, which 128
+    # intervals do not resolve
+    sizes = []
+    gauss = curves._cumulative_gauss
+    monkeypatch.setattr(curves, "_cumulative_gauss", lambda c, k: sizes.append(k) or gauss(c, k))
+    c = mk.arclength_reparametrize(mk.ellipse(1.0, 0.005), nodes=256)
+    assert sizes == [128, 256, 512, 1024]
+    assert c.s_table.size == 1025
+    fine = float(gauss(mk.ellipse(1.0, 0.005), 1 << 16).sum())
+    assert abs(c.length - fine) <= 1e-9 * fine

@@ -3,11 +3,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import circulant, solve
 
 import moebius_kit as mk
 from moebius_kit import optimize, polygon
 from moebius_kit.cli import main
-from moebius_kit.errors import DoublePointError, InputError
+from moebius_kit.errors import ConvergenceError, DoublePointError, InputError
 from moebius_kit.polygon import close_equilateral
 
 
@@ -389,3 +390,151 @@ class TestFFTAlignment:
         orientation, shift = -1, 17
         q = mk.ClosedPolygon(p.vertices[(orientation * (np.arange(50) + shift)) % 50] + 2.0)
         assert optimize._best_relabeling(p.vertices, q.vertices) == (orientation, shift)
+
+
+def reference_sobolev_direction(p, grad):
+    """The scipy.linalg form of sobolev_direction: circulant Gram matrix, solve(assume_a="pos")."""
+    n, L = p.n, p.total_length
+    h = L / n
+    lap = (2.0 - 2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n)) / h**2
+    g_inv = 1.0 / (L * (lap**1.5 + lap[1] ** 1.5))
+
+    def apply_g_inv(y):
+        return np.fft.irfft(np.fft.rfft(y, axis=0) * g_inv[:, None], n, axis=0)
+
+    u = p.edge_vectors() / p.edge_lengths[:, None]
+    gram = circulant(np.fft.irfft(lap * h**2 * g_inv, n))
+    gram *= u @ u.T
+    y = apply_g_inv(grad)
+    dl = np.einsum("ij,ij->i", u, np.roll(y, -1, axis=0) - y)
+    lam = solve(np.diff(np.diff(gram, axis=0), axis=1), dl[:-1] - dl[1:], assume_a="pos")
+    mu = np.zeros(n)
+    mu[:-1] += lam
+    mu[1:] -= lam
+    w = mu[:, None] * u
+    return apply_g_inv(grad - (np.roll(w, 1, axis=0) - w))
+
+
+def reference_median_directions(e, norms):
+    """_median_directions with np.linalg.solve, np.linalg.norm and np.diag_indices."""
+    n, dim = e.shape
+    eps = np.finfo(float).eps
+    near = 1e-8 * norms.mean()
+    mu, diff, r = np.zeros(dim), e, norms
+    phi = r.sum()
+    for _ in range(100):
+        if r.min() < near:
+            return None
+        inv_r = 1.0 / r
+        u = diff * inv_r[:, None]
+        g = u.sum(axis=0)
+        if np.linalg.norm(g) <= 4.0 * eps * float((norms + np.linalg.norm(mu)) @ inv_r):
+            return u
+        hess = -(u.T * inv_r) @ u
+        hess[np.diag_indices(dim)] += inv_r.sum() * (1.0 + 1e-12)
+        step = np.linalg.solve(hess, g)
+        size, far = np.linalg.norm(step), r.max()
+        if size > far:
+            step *= far / size
+        slope = float(g @ step)
+        t = 1.0
+        for _ in range(60):
+            trial = mu + t * step
+            trial_diff = e - trial
+            trial_r = np.sqrt(np.einsum("ij,ij->i", trial_diff, trial_diff))
+            trial_phi = trial_r.sum()
+            if trial_phi <= phi - 1e-4 * t * slope + n * eps * phi:
+                break
+            t *= 0.5
+        mu, diff, r, phi = trial, trial_diff, trial_r, trial_phi
+    raise AssertionError("reference median did not converge")
+
+
+def reference_projection(v, length=None):
+    """The np.roll / vstack / mean form of project_equilateral_closed."""
+    e = np.roll(v, -1, axis=0) - v
+    norms = np.sqrt(np.einsum("ij,ij->i", e, e))
+    if length is None:
+        length = norms.sum() / v.shape[0]
+    u = reference_median_directions(e, norms)
+    if u is None:
+        e = close_equilateral(e, length)
+    else:
+        e = length * u
+        e -= e.mean(axis=0)
+    out = np.vstack([np.zeros(v.shape[1]), np.cumsum(e[:-1], axis=0)])
+    out += v.mean(axis=0) - out.mean(axis=0)
+    return out
+
+
+class TestReferenceForms:
+    """The descent's direct LAPACK calls and sliced shifts compute the parent forms bit for bit."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sobolev_direction_matches_scipy_solve(self, dim):
+        for n in range(3, 65):
+            p = mk.random_equilateral_polygon(n, dim=dim, seed=n)
+            g = mk.energy_gradient(p)
+            assert np.array_equal(mk.sobolev_direction(p, g), reference_sobolev_direction(p, g))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_projection_matches_roll_vstack_mean(self, dim):
+        rng = np.random.default_rng(dim)
+        for n in range(3, 65):
+            p = mk.random_equilateral_polygon(n, dim=dim, seed=n)
+            trial = p.vertices - 0.1 * mk.sobolev_direction(p, mk.energy_gradient(p))
+            chain = rng.standard_normal((n, dim))
+            for v in (trial, chain):
+                assert np.array_equal(mk.project_equilateral_closed(v).vertices, reference_projection(v))
+            assert np.array_equal(mk.project_equilateral_closed(trial, 0.5).vertices,
+                                  reference_projection(trial, 0.5))
+
+    def test_descent_makes_no_roll_calls(self, monkeypatch):
+        start = mk.random_equilateral_polygon(16, dim=3, seed=2)
+
+        def roll(*args, **kwargs):
+            raise AssertionError("np.roll called")
+
+        monkeypatch.setattr(np, "roll", roll)
+        trace = mk.minimize_discrete_energy(start, mk.OptimizerConfig(max_iterations=3))
+        assert trace.termination == "max_iterations"
+        assert trace.iterations == 3
+
+
+class TestStalledClosure:
+    # planar 4-gons whose edge vectors have their geometric median on one of
+    # them, where the alternating projection stalls near a rhombus
+    SEEDS = (1827, 1000013, 1000075, 1000121, 1000223)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_planar_4gon_closes(self, seed):
+        v = np.random.default_rng(seed).standard_normal((4, 2))
+        e = np.roll(v, -1, axis=0) - v
+        with pytest.raises(ConvergenceError):
+            close_equilateral(e, np.linalg.norm(e, axis=1).mean())
+        out = mk.project_equilateral_closed(v)
+        cert = out.equilaterality()
+        assert cert.max_edge_deviation <= 1e-12
+        assert cert.closure_residual <= 1e-12 * out.total_length
+        assert np.abs(out.vertices.mean(axis=0) - v.mean(axis=0)).max() <= 1e-12
+        R = rotation_2d(0.7)
+        shift = np.array([3.0, -1.0])
+        moved = mk.project_equilateral_closed(v @ R.T + shift)
+        assert np.abs(moved.vertices - (out.vertices @ R.T + shift)).max() <= 1e-12
+
+    def test_stall_still_raises_when_no_sweep_helps(self, monkeypatch):
+        monkeypatch.setattr(optimize, "_median_directions", lambda e, norms: None)
+        v = np.random.default_rng(1827).standard_normal((4, 2))
+        with pytest.raises(ConvergenceError, match="stalled"):
+            mk.project_equilateral_closed(v)
+
+
+def test_rejected_trial_steps_are_counted(monkeypatch):
+    trials = []
+    project = optimize.project_equilateral_closed
+    monkeypatch.setattr(optimize, "project_equilateral_closed",
+                        lambda *args: trials.append(args) or project(*args))
+    # an equilateral start is not projected, so every retraction is a trial step
+    trace = mk.minimize_discrete_energy(mk.random_equilateral_polygon(8, dim=3, seed=0))
+    assert trace.rejected_steps > 0
+    assert len(trials) == trace.iterations + trace.rejected_steps

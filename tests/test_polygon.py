@@ -268,3 +268,22 @@ def test_curve_distance_w1inf_vs_brute_force(circle_1):
 def test_curve_distance_length_mismatch(circle_1, circle_2pi):
     with pytest.raises(InputError):
         mk.curve_distance(circle_1, circle_2pi, norm="Lq", q=2)
+
+
+def test_edge_vectors_are_fresh_copies_of_the_rolled_differences():
+    p = mk.random_equilateral_polygon(11, dim=3, seed=4)
+    rolled = np.roll(p.vertices, -1, axis=0) - p.vertices
+    e = p.edge_vectors()
+    assert np.array_equal(e, rolled)
+    e[0] = 99.0
+    assert np.array_equal(p.edge_vectors(), rolled)
+    assert p.edge_vectors() is not p.edge_vectors()
+
+
+def test_unit_edges_are_shared_and_read_only():
+    p = mk.random_equilateral_polygon(9, dim=2, seed=1)
+    u = p.unit_edges()
+    assert u is p.unit_edges()
+    assert np.array_equal(u, p.edge_vectors() / p.edge_lengths[:, None])
+    with pytest.raises(ValueError):
+        u[0, 0] = 1.0
