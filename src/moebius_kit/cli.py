@@ -175,6 +175,12 @@ def cmd_inscribe(args) -> int:
 
 
 def cmd_minimize(args) -> int:
+    cfg = OptimizerConfig(
+        max_iterations=args.max_iter,
+        initial_step=args.step,
+        grad_tol=args.grad_tol,
+        energy_tol=args.energy_tol,
+    )
     if args.polygon:
         start = _load_polygon(args.polygon)
         seed = None
@@ -183,12 +189,6 @@ def cmd_minimize(args) -> int:
             raise InputError("minimize needs --polygon or --n")
         seed = args.seed
         start = random_equilateral_polygon(int(args.n), dim=args.dim, seed=seed)
-    cfg = OptimizerConfig(
-        max_iterations=args.max_iter,
-        initial_step=args.step,
-        grad_tol=args.grad_tol,
-        energy_tol=args.energy_tol,
-    )
     trace = minimize_discrete_energy(start, cfg)
     out_dir = _ensure_dir(args.out_dir)
     trace.write_csv(out_dir / "trace.csv")

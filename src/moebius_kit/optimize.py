@@ -7,14 +7,16 @@ Sobolev metric (:func:`sobolev_direction`, after Yu, Schumacher and
 Crane, *Repulsive Curves*, 2021).  Each step is retracted onto closed
 equilateral polygons by :func:`project_equilateral_closed`, the nearest
 such chain, whose edge directions point away from the geometric median
-of the step's edge vectors (a Newton solve in d unknowns), and accepted
-by an Armijo backtracking line search.  The trace records the start and
-the state after each accepted step, and counts the rejected trial steps.
-At the sizes descents run at, an iteration's cost is per-call overhead,
-so it reads each polygon's edges once (:class:`polygon.ClosedPolygon`
-keeps them), calls LAPACK directly for its small dense solves, and
-shifts cyclically by concatenating slices; the tests hold it bit for bit
-to the ``scipy.linalg.solve`` and ``np.roll`` forms.  The descent only
+of the step's edge vectors (a Newton solve in d unknowns; where the
+median is undefined, one alternating sweep of the edges and a new
+solve), and accepted by an Armijo backtracking line search.  The trace
+records the start and the state after each accepted step, and counts
+the rejected trial steps.  At the sizes descents run at, an iteration's
+cost is per-call overhead, so it reads each polygon's edges once
+(:class:`polygon.ClosedPolygon` keeps them), calls LAPACK directly for
+its small dense solves, and shifts cyclically by concatenating slices;
+the tests hold it bit for bit to the ``scipy.linalg.solve`` and
+``np.roll`` forms.  The descent only
 visits equilateral polygons, where the arc-distance part of the energy
 has zero gradient, so the gradient is that of the chord part alone (see
 :func:`energy_gradient`).  :func:`align_rigid` compares minimizers
@@ -35,7 +37,7 @@ from scipy.linalg.lapack import dgesv, dposv
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
-from .polygon import ClosedPolygon, close_equilateral, inverse_square_chord_blocks
+from .polygon import ClosedPolygon, inverse_square_chord_blocks
 
 
 @dataclass(frozen=True)
@@ -46,9 +48,12 @@ class OptimizerConfig:
     energy_tol: float = 1e-14
 
     def __post_init__(self):
+        if not self.max_iterations >= 0:
+            raise InputError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
         for name in ("initial_step", "grad_tol", "energy_tol"):
-            if getattr(self, name) <= 0.0:
-                raise InputError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InputError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -141,8 +146,10 @@ def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
     Stops once |sum u_i| is within the u_i's roundoff,
     4 eps sum (|e_i| + |mu|) / |e_i - mu|.  Returns None once an iterate
     comes within 1e-8 of the mean |e_i| of some e_i, where the
-    directions are undefined; that test, like every other, is invariant
-    under rigid motions of e.
+    directions are undefined, and when the converged |sum u_i| exceeds
+    0.5e-12 n, which would leave the chain's edges unequal beyond
+    1e-12; these tests, like every other, are invariant under rigid
+    motions of e.
     """
     n, dim = e.shape
     eps = np.finfo(float).eps
@@ -158,7 +165,8 @@ def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
         # d-vector norms as np.linalg.norm takes them, sqrt(x . x)
         gnorm = math.sqrt(g @ g)
         if gnorm <= 4.0 * eps * float((norms + math.sqrt(mu @ mu)) @ inv_r):
-            return u
+            # |sum u_i| / n bounds the closed chain's edge deviation
+            return u if gnorm <= 0.5e-12 * n else None
         hess = -(u.T * inv_r) @ u
         hess.flat[::dim + 1] += inv_r.sum() * (1.0 + 1e-12)
         _, _, step, info = dgesv(hess, g)
@@ -191,19 +199,23 @@ def project_equilateral_closed(vertices, length: float | None = None) -> ClosedP
     (PAPER.md, "Retraction"; :func:`_median_directions`).  Subtracting
     the mean edge once more moves edge lengths by |sum e'| / n only, so
     edge deviation and closure residual stay below 1e-12 l.  Where the
-    median is within 1e-8 of the mean input edge length from an e_i, no
-    such chain exists (an obtuse planar triangle, for one), and
-    :func:`polygon.close_equilateral` closes the edges instead.  Where
-    that stalls too (planar 4-gons folding onto a rhombus), the nearest
-    chain to the edges after a few of its sweeps is taken
-    (:func:`_swept_median_directions`).  The result keeps the input's
-    vertex centroid.  Means are taken as sums over n, as ``np.mean`` does.
+    median is undefined (within 1e-8 of the mean edge length from an
+    e_i, as for an obtuse planar triangle, or with |sum u_i| above
+    0.5e-12 n), one alternating sweep scales every edge to l and
+    subtracts the mean edge, and the median is solved again; the nearest
+    chain to the first swept edges with a defined median is returned.
+    Raises :class:`ConvergenceError` when an edge collapses below 1e-8 l
+    or 100 sweeps leave the median undefined.  The result keeps the
+    input's vertex centroid.  Means are taken as sums over n, as
+    ``np.mean`` does.
     """
     v = np.asarray(vertices, dtype=float)
     if isinstance(vertices, ClosedPolygon):
         v = vertices.vertices
     if v.ndim != 2 or v.shape[0] < 3:
         raise InputError("need at least 3 vertices")
+    if not np.all(np.isfinite(v)):
+        raise InputError("vertices must be finite")
     n = v.shape[0]
     e = np.concatenate((v[1:], v[:1])) - v
     norms = np.sqrt(np.einsum("ij,ij->i", e, e))
@@ -211,43 +223,26 @@ def project_equilateral_closed(vertices, length: float | None = None) -> ClosedP
         raise InputError("degenerate chain: repeated consecutive vertices")
     if length is None:
         length = norms.sum() / n
-    u = _median_directions(e, norms)
-    if u is None:
-        try:
-            e = close_equilateral(e, length)
-        except ConvergenceError:
-            u = _swept_median_directions(e, length)
-            if u is None:
-                raise
-    if u is not None:
-        e = length * u
+    elif not (math.isfinite(length) and length > 0.0):
+        raise InputError(f"edge length must be finite and positive, got {length!r}")
+    for _ in range(100):
+        u = _median_directions(e, norms)
+        if u is not None:
+            break
+        if norms.min() < 1e-8 * length:
+            raise ConvergenceError(f"equilateral retraction collapsed edge {int(np.argmin(norms))}")
+        e = e * (length / norms)[:, None]
         e -= e.sum(axis=0) / n
+        norms = np.sqrt(np.einsum("ij,ij->i", e, e))
+    else:
+        raise ConvergenceError("equilateral retraction stalled: median undefined after 100 sweeps")
+    e = length * u
+    e -= e.sum(axis=0) / n
     out = np.empty_like(e)
     out[0] = 0.0
     np.cumsum(e[:-1], axis=0, out=out[1:])
     out += v.sum(axis=0) / n - out.sum(axis=0) / n
     return ClosedPolygon(out)
-
-
-def _swept_median_directions(e: np.ndarray, length: float) -> np.ndarray | None:
-    """Median directions of e after at most 8 alternating projection sweeps, or None.
-
-    Each sweep scales every edge to ``length`` and subtracts the mean
-    edge, as :func:`polygon.close_equilateral` does; the first swept
-    chain whose geometric median lies off its edge vectors gives the
-    directions (:func:`_median_directions`).  None when an edge collapses
-    below 1e-8 ``length`` or the sweeps run out.
-    """
-    for _ in range(8):
-        norms = np.sqrt(np.einsum("ij,ij->i", e, e))
-        if norms.min() < 1e-8 * length:
-            return None
-        e = e * (length / norms)[:, None]
-        e -= e.mean(axis=0)
-        u = _median_directions(e, np.sqrt(np.einsum("ij,ij->i", e, e)))
-        if u is not None:
-            return u
-    return None
 
 
 def sobolev_direction(p: ClosedPolygon, grad: np.ndarray) -> np.ndarray:

@@ -7,11 +7,12 @@ double-point check all consume its row blocks, so each runs in O(n)
 memory beyond a block of about :data:`BLOCK_PAIRS` entries.
 :func:`close_equilateral` is the alternating projection onto closed
 equilateral chains: the random sampler closes Gaussian edges to unit
-length with it, and the descent's nearest-point retraction
-(:func:`optimize.project_equilateral_closed`) falls back on it where no
-nearest chain exists.  A :class:`ClosedPolygon` forms its edge vectors
-once, so the descent's gradient, Sobolev direction and equilaterality
-check all read the same array.
+length with it.  (The descent's nearest-point retraction,
+:func:`optimize.project_equilateral_closed`, takes single sweeps of the
+same kind where no nearest chain exists, and does not call it.)  A
+:class:`ClosedPolygon` forms its edge vectors once, so the descent's
+gradient, Sobolev direction and equilaterality check all read the same
+array.
 """
 
 from __future__ import annotations

@@ -212,6 +212,28 @@ def test_minimize_barrier_exits_2(monkeypatch, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["minimize", "--n", "8", "--max-iter", "-1"],
+        ["minimize", "--n", "8", "--step", "nan"],
+        ["minimize", "--n", "8", "--step", "0"],
+        ["minimize", "--n", "8", "--energy-tol", "nan"],
+        ["minimize", "--n", "8", "--grad-tol", "inf"],
+        ["minimize", "--n", "8", "--grad-tol=-1e-9"],
+        ["study", "minimizers", "--n", "8,16", "--max-iter", "-2"],
+    ],
+)
+def test_bad_descent_settings_exit_1(argv, tmp_path, capsys):
+    # each of these used to crash, stall (exit 3) or stop at once (exit 0)
+    out = tmp_path / "run"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "descriptor",
     [
         {"kind": "samples", "params": {}},
