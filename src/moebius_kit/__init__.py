@@ -14,7 +14,6 @@ from .curves import (
     arclength_reparametrize,
     bilipschitz_estimate,
     circle,
-    curvature_bound,
     ellipse,
     from_samples,
     intrinsic_distance,

@@ -4,7 +4,8 @@ Every artifact-producing run writes a ``run-manifest.json`` capturing the
 resolved configuration, seed, and library versions; identical
 configurations produce byte-identical artifacts (manifest timestamp
 aside).  Exit codes: 0 success, 1 input error, 2 mathematical singularity
-(infinite energy, non-embedded curve), 3 non-convergence.
+(infinite energy, non-embedded curve), 3 non-convergence, a study's smooth
+reference energy included.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def cmd_energy(args) -> int:
         report.terms_to_csv(args.terms_csv)
     if args.kind == "smooth" and not report.diagnostics["converged"]:
         print(f"error: smooth quadrature did not converge to tol {args.tol:g} "
-              f"in {report.diagnostics['levels']} levels", file=sys.stderr)
+              f"on {report.diagnostics['levels']} grids up to m = {report.diagnostics['grid']}",
+              file=sys.stderr)
         return 3
     return 0
 
@@ -224,6 +226,15 @@ def _study_outputs(report, out_dir: Path, stem: str, plot_data: bool) -> None:
         report.write_plot_data(out_dir / f"{stem}.dat")
 
 
+def _reference_exit(report) -> int:
+    """0, or 3 with a message when the study's smooth reference energy did not converge."""
+    if report.reference_converged:
+        return 0
+    print("error: smooth quadrature of the reference energy did not converge "
+          "(reference_converged is false in the report)", file=sys.stderr)
+    return 3
+
+
 def cmd_study_rate(args) -> int:
     curve = load_curve(args.curve)
     report = convergence_study(curve, parse_n_spec(args.n), mode=args.mode)
@@ -231,7 +242,7 @@ def cmd_study_rate(args) -> int:
     _study_outputs(report, out_dir, "rate", args.plot_data)
     _write_manifest(out_dir, "study rate", args)
     print(f"rate {format_value(report.rate)}")
-    return 0
+    return _reference_exit(report)
 
 
 def cmd_study_gamma(args) -> int:
@@ -244,7 +255,7 @@ def cmd_study_gamma(args) -> int:
         f"gap shrink {format_value(report.gap_shrink)}"
         f" distance shrink {format_value(report.distance_shrink)}"
     )
-    return 0
+    return _reference_exit(report)
 
 
 def cmd_study_minimizers(args) -> int:
@@ -267,7 +278,7 @@ def cmd_study_liminf(args) -> int:
     _write_manifest(out_dir, "study liminf", args, seed=args.seed if perturbed else None,
                     unused=() if perturbed else ("seed",))
     print(f"liminf check {'ok' if report.liminf_ok else 'violated'} (invalid={report.invalid})")
-    return 0
+    return _reference_exit(report)
 
 
 class _Parser(argparse.ArgumentParser):

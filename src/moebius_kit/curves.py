@@ -2,11 +2,9 @@
 
 A curve enters as a periodic evaluator and its derivative over the unit
 parameter interval (:class:`ParametricCurve`) and is converted to a unit-speed
-:class:`ArcLengthCurve` via a monotone lookup table.  The diagnostics
-exposed here (curvature bound, bi-Lipschitz constant) are sampled
-estimates inflated by a 5% safety factor and are used downstream only as
-diagnostics, never as correctness gates; the bi-Lipschitz constant runs
-on the chord kernel of :mod:`polygon`.
+:class:`ArcLengthCurve` via a monotone lookup table.  The bi-Lipschitz
+constant exposed here is a sampled estimate inflated by a 5% safety factor,
+computed on the chord kernel of :mod:`polygon`.
 """
 
 from __future__ import annotations
@@ -392,18 +390,6 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
     out = ArcLengthCurve(curve, u_table, s_table)
     out.bilipschitz = bilipschitz_estimate(out)
     return out
-
-
-def curvature_bound(curve: ArcLengthCurve, grid: int = 1024) -> float:
-    """Sampled bound on |gamma''| from second central differences, inflated by 1.05."""
-    if grid < 16:
-        raise InputError("curvature grid must have at least 16 points")
-    L = curve.length
-    h = L / grid
-    pts = curve.eval(np.arange(grid) * h)
-    second = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
-    kmax = float(np.max(np.linalg.norm(second, axis=1))) / h**2
-    return 1.05 * kmax
 
 
 def bilipschitz_estimate(curve: ArcLengthCurve) -> float:

@@ -5,10 +5,11 @@ polygon (inverse-square chord minus inverse-square arc distance, summed
 over vertex pairs with edge-length weights), the minimum distance energy
 over non-adjacent segment pairs, measured against the closed-form regular
 n-gon value, and the smooth Moebius energy of an embedded arc-length curve
-computed by band-regularized tensor quadrature.  Each pass visits every
-pair once.  A closed-form evaluation of the discrete energy for regular
-n-gons serves as an independent oracle, and sphere inversion is provided
-for invariance spot checks.
+computed by the periodic trapezoid rule on all node pairs, measured against
+the round circle of the same length.  Each pass visits every pair once.  A
+closed-form evaluation of the discrete energy for regular n-gons serves as
+an independent oracle, and sphere inversion is provided for invariance
+spot checks.
 """
 
 from __future__ import annotations
@@ -338,80 +339,63 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
     )
 
 
+QUADRATURE_GRIDS = (128, 256, 512, 1024, 2048, 4096)   # node counts m, tried in order
+
+
 def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyReport:
     """Smooth Moebius energy of an embedded closed unit-speed curve.
 
-    The double integral is split at each refinement level into three
-    exactly-accounted parts: a tensor-product midpoint sum of the chord
-    term measured against the round circle of the same length (smooth and
-    periodic, so the midpoint rule converges fast), the closed-form
-    integral of the circle reference minus the inverse-square intrinsic
-    distance off a diagonal band, and a band contribution using the
-    diagonal limit kappa(t)^2 / 12 of the integrand.  Level l uses a grid
-    of 256 l points and a band half-width shrinking as L / (8 l^2);
-    refinement stops when successive levels agree to tol * max(1, value),
-    or after 12 levels.  The off-band chord sum runs on the m-gon of
-    quadrature nodes through :func:`polygon.inverse_square_chord_blocks`,
-    each node pair once, with the band's separations 2 .. K zeroed in
-    every block; the circle reference over the same pairs is one sum over
-    the separations.  Nodes closer than 1e-9 L, consecutive ones included,
-    raise :class:`NotEmbeddedError`.
+    E = 4 + the integral over the torus of F(s, t) = 1 / |gamma(s) -
+    gamma(t)|^2 - (pi / L)^2 / sin^2(pi (s - t) / L), the chord term
+    measured against the round circle of the same length, whose energy is
+    4.  F is smooth and periodic, with the diagonal limit kappa^2 / 12 -
+    pi^2 / (3 L^2), so the trapezoid rule h^2 sum_ij F_ij on m uniform
+    arc-length nodes, h = L / m, converges spectrally on smooth curves
+    (algebraically on C^{1,1} ones; see PAPER.md).  The pairs i < j come
+    from :func:`polygon.inverse_square_chord_blocks` on the m-gon of nodes,
+    each unordered pair once, and the consecutive pairs, which that kernel
+    zeroes, from the m-gon's edge lengths.  The circle reference sums in
+    closed form: sum_{k=1}^{m-1} sin^-2(pi k / m) = (m^2 - 1) / 3, which
+    with the diagonal's - pi^2 / (3 L^2) gives h^2 m^3 pi^2 / (3 L^2) =
+    m pi^2 / 3.  kappa^2 is |gamma''|^2 from the nodes' discrete Fourier
+    transform with the Nyquist mode zeroed, summed by Parseval.  m doubles
+    through :data:`QUADRATURE_GRIDS` until two grids agree to tol *
+    max(1, value); ``levels`` counts the grids tried and ``term_count``
+    sums m^2 over them.  Nodes closer than 1e-9 L, consecutive ones
+    included, raise :class:`NotEmbeddedError`.
     """
     if not 1e-10 <= tol <= 1e-3:
         raise InputError("tol must lie in [1e-10, 1e-3]")
     L = curve.length
     estimates: list[float] = []
-    evaluations = 0
-    m = K = 0
-    h = 0.0
-    global_min_chord = math.inf
-    for level in range(1, 13):
-        m = 256 * level
-        K = max(1, int(round(m / (8.0 * level * level) - 0.5)))
-        step = L / m
-        h = (K + 0.5) * step
-        s = (np.arange(m) + 0.5) * step
-        P = curve.eval(s)
+    evaluations, smallest, converged = 0, math.inf, False
+    for m in QUADRATURE_GRIDS:
+        h = L / m
+        P = curve.eval(np.arange(m) * h)
         if not np.isfinite(P).all():
             raise InputError("curve nodes must be finite")
-
-        second = np.roll(P, -1, axis=0) - 2.0 * P + np.roll(P, 1, axis=0)
-        kappa_sq = np.einsum("ij,ij->i", second, second) / step**4
-        band = (h / 6.0) * step * float(kappa_sq.sum())
-
-        # the m-gon of nodes carries each pair once; the band |i - j| <= K
-        # (cyclically) is left to the band term
-        ref_coef = (math.pi / L) ** 2
-        sums, largest = [], 0.0
         try:
-            for _, Q, _ in inverse_square_chord_blocks(ClosedPolygon(P), 1e-9 * L):
-                for k in range(2, K + 1):
-                    np.fill_diagonal(Q[:, k:], 0.0)
-                    np.fill_diagonal(Q[:, m - k:], 0.0)
+            nodes = ClosedPolygon(P)
+            sums = []
+            for _, Q, small in inverse_square_chord_blocks(nodes, 1e-9 * L):
                 sums.append(float(Q.sum()))
-                largest = max(largest, float(Q.max()))
+                smallest = min(smallest, small)
         except (DoublePointError, InputError):      # InputError: consecutive nodes coincide
             raise NotEmbeddedError("curve is not embedded at the quadrature resolution") from None
-        ref = ref_coef / np.sin(np.pi * (np.arange(K + 1, m - K) * step) / L) ** 2
-        off = 2.0 * math.fsum(sums) - m * math.fsum(ref)
-        evaluations += m * (m - 2 * K - 1)
-        global_min_chord = min(global_min_chord, 1.0 / math.sqrt(largest))
-
-        ref_correction = 4.0 - 2.0 * L * (1.0 / h - (math.pi / L) / math.tan(math.pi * h / L))
-        estimate = off * step * step + ref_correction + band
-        estimates.append(estimate)
-        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(1.0, abs(estimate)):
+        sums.append(float(np.reciprocal(np.square(nodes.edge_lengths)).sum()))   # consecutive pairs
+        # sum_i |gamma''(s_i)|^2 by Parseval, modes 1 .. m/2 - 1 counted twice
+        spectrum = np.square(np.abs(np.fft.rfft(P, axis=0)[1:m // 2])).sum(axis=1)
+        wave = (2.0 * math.pi / L) * np.arange(1, m // 2)
+        kappa_sq = (2.0 / m) * float(np.dot(wave**4, spectrum))
+        estimates.append(4.0 - m * math.pi**2 / 3.0 + h * h * (2.0 * math.fsum(sums) + kappa_sq / 12.0))
+        evaluations += m * m
+        if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(1.0, abs(estimates[-1])):
+            converged = True
             break
-
-    converged = len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(
-        1.0, abs(estimates[-1])
-    )
     diag = {
         "levels": len(estimates),
         "grid": m,
-        "band_cells": K,
-        "band_halfwidth": h,
-        "smallest_chord": global_min_chord,
+        "smallest_chord": smallest,
         "last_estimates": estimates[-2:],
         "converged": converged,
         "tol": tol,

@@ -4,6 +4,9 @@ Each study is deterministic given its seeds and tolerances and exports CSV
 and JSON plus gnuplot-ready two-column data files.  The round circle's
 smooth energy is the analytic constant 4 (independent of scale), so circle
 studies use it directly instead of quadrature; everything else is measured.
+The rate, recovery and lower-bound reports carry ``reference_converged``,
+whether that quadrature met its tolerance, so an unconverged reference is
+never reported without saying so.
 """
 
 from __future__ import annotations
@@ -25,11 +28,12 @@ from .polygon import ClosedPolygon, curve_distance, random_equilateral_polygon, 
 CIRCLE_ENERGY = 4.0  # full integral for any round circle; antiderivative -(1/2) cot(u/2)
 
 
-def reference_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> float:
-    """Smooth energy of the curve: analytic for circles, quadrature otherwise."""
+def reference_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> tuple[float, bool]:
+    """Smooth energy of the curve and whether it converged: analytic for circles, quadrature otherwise."""
     if curve.kind == "circle":
-        return CIRCLE_ENERGY
-    return smooth_moebius_energy(curve, tol=tol).value
+        return CIRCLE_ENERGY, True
+    report = smooth_moebius_energy(curve, tol=tol)
+    return report.value, report.diagnostics["converged"]
 
 
 def _fit_rate(ns, gaps) -> tuple[float, float]:
@@ -72,6 +76,7 @@ class ConvergenceReport:
     rate: float
     intercept: float
     reference: float
+    reference_converged: bool
     curve: str
     mode: str
 
@@ -84,6 +89,7 @@ class ConvergenceReport:
             "curve": self.curve,
             "mode": self.mode,
             "reference_energy": self.reference,
+            "reference_converged": self.reference_converged,
             "rate": self.rate,
             "intercept": self.intercept,
             "rows": [{"n": n, "energy": e, "gap": g} for n, e, g in self.rows],
@@ -112,7 +118,7 @@ def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform",
         raise InputError("need an increasing list of at least 5 polygon sizes")
     if mode not in ("uniform", "equilateral"):
         raise InputError("mode must be 'uniform' or 'equilateral'")
-    reference = reference_energy(curve, tol=quad_tol)
+    reference, converged = reference_energy(curve, tol=quad_tol)
     rows = []
     for n in n_list:
         if mode == "uniform":
@@ -122,7 +128,7 @@ def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform",
         e_n = discrete_moebius_energy(polygon).value
         rows.append((n, e_n, abs(reference - e_n)))
     rate, intercept = _fit_rate([r[0] for r in rows], [r[2] for r in rows])
-    return ConvergenceReport(rows, rate, intercept, reference, curve.kind, mode)
+    return ConvergenceReport(rows, rate, intercept, reference, converged, curve.kind, mode)
 
 
 @dataclass
@@ -131,6 +137,7 @@ class GammaRecoveryReport:
 
     rows: list[tuple[int, float, float, float]]   # (n, E_n, gap, distance)
     reference: float
+    reference_converged: bool
     curve: str
 
     @property
@@ -152,6 +159,7 @@ class GammaRecoveryReport:
         return {
             "curve": self.curve,
             "reference_energy": self.reference,
+            "reference_converged": self.reference_converged,
             "gap_shrink": self.gap_shrink,
             "distance_shrink": self.distance_shrink,
             "rows": [
@@ -180,7 +188,7 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
     n_list = [int(n) for n in n_list]
     if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise InputError("need an increasing list of at least 2 polygon sizes")
-    reference = reference_energy(curve)
+    reference, converged = reference_energy(curve)
     L = curve.length
     curve_1 = curve.scaled(1.0 / L)
     rows = []
@@ -189,7 +197,7 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
         e_n = discrete_moebius_energy(polygon).value
         dist = curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm="W1q", q=math.inf)
         rows.append((n, e_n, abs(reference - e_n), dist))
-    return GammaRecoveryReport(rows, reference, curve.kind)
+    return GammaRecoveryReport(rows, reference, converged, curve.kind)
 
 
 @dataclass
@@ -198,6 +206,7 @@ class LiminfReport:
 
     rows: list[tuple[int, float, float, float]]   # (n, E_n, l1_distance, slack)
     reference: float
+    reference_converged: bool
     family: str
     invalid: bool                                  # L^1 distances failed to decrease
     tail_min_energy: float
@@ -207,6 +216,7 @@ class LiminfReport:
         return {
             "family": self.family,
             "reference_energy": self.reference,
+            "reference_converged": self.reference_converged,
             "invalid": self.invalid,
             "tail_min_energy": self.tail_min_energy,
             "liminf_ok": self.liminf_ok,
@@ -258,7 +268,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     else:
         raise InputError("polygon_family must be 'inscribed', 'perturbed', or callable")
 
-    reference = reference_energy(curve)
+    reference, converged = reference_energy(curve)
     curve_1 = curve.scaled(1.0 / curve.length)
     rows = []
     for n in n_list:
@@ -271,7 +281,7 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     tail = [e for _, e, _, _ in rows[len(rows) // 2:]]
     tail_min = min(tail)
     liminf_ok = reference <= tail_min + 0.1 * max(1.0, abs(reference))
-    return LiminfReport(rows, reference, family_name, invalid, tail_min, liminf_ok)
+    return LiminfReport(rows, reference, converged, family_name, invalid, tail_min, liminf_ok)
 
 
 @dataclass

@@ -22,10 +22,10 @@ def test_criterion_1_circle_energy():
     rep = mk.smooth_moebius_energy(circle, tol=1e-8)
     elapsed = time.perf_counter() - t0
     err = abs(rep.value - 4.0)
-    ok = err < 1e-6 and elapsed < 10.0
+    ok = err < 1e-10 and elapsed < 10.0
     report("criterion 1 (circle smooth energy)", ok,
-           f"E={rep.value:.10f} err={err:.2e} runtime={elapsed:.2f}s")
-    assert err < 1e-6
+           f"E={rep.value:.12f} err={err:.2e} runtime={elapsed:.2f}s")
+    assert err < 1e-10
     assert elapsed < 10.0
 
 

@@ -25,6 +25,15 @@ def circle_path(tmp_path):
     return str(path)
 
 
+@pytest.fixture()
+def pentagon_path(tmp_path):
+    path = tmp_path / "pentagon.json"
+    path.write_text(json.dumps(
+        {"kind": "rounded_polygon", "params": {"sides": 5, "circumradius": 1.0, "corner_radius": 0.2}}
+    ))
+    return str(path)
+
+
 class TestNSpec:
     def test_forms(self):
         assert parse_n_spec("64") == [64]
@@ -78,17 +87,38 @@ def test_energy_smooth(circle_path, capsys, tmp_path):
     assert data["diagnostics"]["converged"]
 
 
-def test_energy_smooth_unconverged_exits_3(circle_path, capsys, tmp_path):
+def test_energy_smooth_unconverged_exits_3(pentagon_path, capsys, tmp_path):
+    # a C^{1,1} curve: its grids converge as m^-2, short of tol at m = 4096
     report_path = tmp_path / "report.json"
     rc = main(
-        ["energy", "--curve", circle_path, "--kind", "smooth", "--tol", "1e-10",
+        ["energy", "--curve", pentagon_path, "--kind", "smooth", "--tol", "1e-10",
          "--report", str(report_path)]
     )
     assert rc == 3
     captured = capsys.readouterr()
-    assert float(captured.out.strip()) == pytest.approx(4.0, abs=1e-7)
+    assert float(captured.out.strip()) == pytest.approx(7.417201, abs=5e-6)
     assert "did not converge" in captured.err
     assert json.loads(report_path.read_text())["diagnostics"]["converged"] is False
+
+
+@pytest.mark.parametrize("study, n", [("rate", "8:128:x2"), ("gamma", "8,16"), ("liminf", "8,16,32")])
+def test_study_with_unconverged_reference_exits_3(pentagon_path, study, n, capsys, tmp_path):
+    out = tmp_path / study
+    rc = main(["study", study, "--curve", pentagon_path, "--n", n, "--out-dir", str(out)])
+    assert rc == 3
+    assert "did not converge" in capsys.readouterr().err
+    data = json.loads((out / f"{study}.json").read_text())
+    assert data["reference_converged"] is False
+    assert data["reference_energy"] == pytest.approx(7.417201, abs=5e-6)
+
+
+def test_study_with_converged_reference_says_so(tmp_path, capsys):
+    path = tmp_path / "ellipse.json"
+    path.write_text(json.dumps({"kind": "ellipse", "params": {"a": 1.0, "b": 0.6}}))
+    out = tmp_path / "gamma"
+    assert main(["study", "gamma", "--curve", str(path), "--n", "8,16", "--out-dir", str(out)]) == 0
+    assert json.loads((out / "gamma.json").read_text())["reference_converged"] is True
+    assert capsys.readouterr().err == ""
 
 
 def test_energy_smooth_rejects_terms_csv_before_any_work(circle_path, capsys, tmp_path):

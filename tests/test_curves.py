@@ -88,27 +88,6 @@ def test_scale_equivariance():
         assert abs(L2 - lam * L1) < 1e-9 * L2
 
 
-def test_curvature_bound_circle():
-    for radius, expected in ((1.0, 1.0), (2.0, 0.5)):
-        c = mk.arclength_reparametrize(mk.circle(radius=radius), nodes=2048)
-        assert mk.curvature_bound(c) / 1.05 == pytest.approx(expected, rel=0.02)
-
-
-def test_curvature_bound_torus_knot(trefoil):
-    # dense finite-difference oracle for max |gamma''|
-    m = 200_000
-    h = trefoil.length / m
-    pts = trefoil.eval(np.arange(m) * h)
-    second = np.roll(pts, -1, axis=0) - 2.0 * pts + np.roll(pts, 1, axis=0)
-    oracle = float(np.max(np.linalg.norm(second, axis=1))) / h**2
-    assert mk.curvature_bound(trefoil, grid=4096) / 1.05 == pytest.approx(oracle, rel=0.02)
-
-
-def test_curvature_bound_small_grid_rejected(circle_2pi):
-    with pytest.raises(InputError):
-        mk.curvature_bound(circle_2pi, grid=8)
-
-
 def test_bilipschitz_circle(circle_2pi):
     # the arc/chord ratio (u/2)/sin(u/2) is maximized at the antipode: pi/2
     assert mk.bilipschitz_estimate(circle_2pi) / 1.05 == pytest.approx(math.pi / 2, rel=0.03)

@@ -353,39 +353,51 @@ class TestMinimumDistanceEnergy:
 def smooth_energy_by_separation(curve, tol):
     """Diagnostics of the smooth quadrature summed one cyclic separation at a time.
 
-    The same levels, grid, band and circle reference as
-    ``smooth_moebius_energy``, with the off-band chord sum taken as one
-    pass over the m nodes per separation k = K + 1 .. m / 2.
+    The same grids m = 128 .. 4096 and stopping rule as
+    ``smooth_moebius_energy``, with each grid's trapezoid sum taken as one
+    pass over the m nodes per separation k = 1 .. m / 2, against the circle
+    reference (pi / L)^2 / sin^2(pi k / m) of that separation, and the
+    diagonal kappa^2 / 12 - pi^2 / (3 L^2) from a per-node second
+    derivative (inverse FFT, Nyquist mode zeroed).
     """
     L = curve.length
-    estimates, evaluations, smallest = [], 0, math.inf
-    for level in range(1, 13):
-        m = 256 * level
-        K = max(1, int(round(m / (8.0 * level * level) - 0.5)))
-        step = L / m
-        h = (K + 0.5) * step
-        P = curve.eval((np.arange(m) + 0.5) * step)
-        second = np.roll(P, -1, axis=0) - 2.0 * P + np.roll(P, 1, axis=0)
-        band = (h / 6.0) * step * float((np.einsum("ij,ij->i", second, second) / step**4).sum())
-        off, min_chord2 = 0.0, math.inf
-        for k in range(K + 1, m // 2 + 1):
+    estimates, evaluations, smallest, converged = [], 0, math.inf, False
+    for m in (128, 256, 512, 1024, 2048, 4096):
+        h = L / m
+        P = curve.eval(np.arange(m) * h)
+        wave = 2.0 * math.pi * np.fft.rfftfreq(m, h)
+        spectrum = np.fft.rfft(P, axis=0) * -(wave**2)[:, None]
+        spectrum[-1] = 0.0
+        second = np.fft.irfft(spectrum, n=m, axis=0)
+        total = float((np.einsum("ij,ij->i", second, second) / 12.0 - math.pi**2 / (3.0 * L**2)).sum())
+        min_chord2 = math.inf
+        for k in range(1, m // 2 + 1):
             d = np.roll(P, -k, axis=0) - P
             chord2 = np.einsum("ij,ij->i", d, d)
             min_chord2 = min(min_chord2, float(chord2.min()))
-            ref = (math.pi / L) ** 2 / math.sin(math.pi * (k * step) / L) ** 2
+            ref = (math.pi / L) ** 2 / math.sin(math.pi * k / m) ** 2
             row = float((1.0 / chord2).sum()) - m * ref
-            off += row if 2 * k == m else 2.0 * row
-        evaluations += m * (m - 2 * K - 1)
+            total += row if 2 * k == m else 2.0 * row
+        evaluations += m * m
         smallest = min(smallest, math.sqrt(min_chord2))
-        ref_correction = 4.0 - 2.0 * L * (1.0 / h - (math.pi / L) / math.tan(math.pi * h / L))
-        estimates.append(off * step * step + ref_correction + band)
+        estimates.append(4.0 + h * h * total)
         if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(1.0, abs(estimates[-1])):
+            converged = True
             break
-    converged = len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(
-        1.0, abs(estimates[-1])
-    )
-    return {"levels": len(estimates), "grid": m, "band_cells": K, "term_count": evaluations,
+    return {"levels": len(estimates), "grid": m, "term_count": evaluations,
             "converged": converged, "last_estimates": estimates[-2:], "smallest_chord": smallest}
+
+
+SMOOTH_CURVES = [
+    (mk.ellipse(1.0, 0.6), 5.3678607397),
+    (mk.ellipse(1.0, 0.3), 13.60314925),
+    (mk.torus_knot(2, 3, 2.0, 1.0), 81.8408529852),
+    (mk.torus_knot(2, 5, 2.0, 1.0), 179.5697711),
+]
+SMOOTH_IDS = ["ellipse_06", "ellipse_03", "trefoil", "knot_25"]
+ROUNDED_PENTAGON = {"kind": "rounded_polygon",
+                    "params": {"sides": 5, "circumradius": 1.0, "corner_radius": 0.2}}
+ROUNDED_PENTAGON_ENERGY = 7.417201   # O(m^-2) extrapolation of the m = 2048, 4096 grids; E_n agrees
 
 
 class TestSmoothEnergy:
@@ -396,7 +408,7 @@ class TestSmoothEnergy:
                  else request.getfixturevalue(name))
         rep = mk.smooth_moebius_energy(curve, tol=1e-8)
         ref = smooth_energy_by_separation(curve, tol=1e-8)
-        for key in ("levels", "grid", "band_cells", "converged"):
+        for key in ("levels", "grid", "converged"):
             assert rep.diagnostics[key] == ref[key]
         assert rep.term_count == ref["term_count"]
         np.testing.assert_allclose(rep.diagnostics["last_estimates"], ref["last_estimates"],
@@ -460,26 +472,22 @@ class TestSmoothEnergy:
         curve = mk.arclength_reparametrize(mk.ellipse(1.0, 0.8))
         rep = mk.smooth_moebius_energy(curve, tol=tol)
 
-        # raw midpoint double sum at 4096^2 with an identically modeled band
+        # dense trapezoid sum at m = 4096 of 1/chord^2 - 1/d^2 itself, with
+        # no circle reference, and the diagonal limit kappa^2 / 12 from
+        # second differences; the kink of 1/d^2 at d = L/2 costs O(h^2)
         m = 4096
         L = curve.length
         step = L / m
-        s = (np.arange(m) + 0.5) * step
-        P = curve.eval(s)
+        P = curve.eval(np.arange(m) * step)
         second = np.roll(P, -1, axis=0) - 2.0 * P + np.roll(P, 1, axis=0)
         kappa_sq = np.einsum("ij,ij->i", second, second) / step**4
-        K = max(1, int(round(rep.diagnostics["band_halfwidth"] / step - 0.5)))
-        h = (K + 0.5) * step
-        band = (h / 6.0) * step * kappa_sq.sum()
-        total = 0.0
-        for k in range(K + 1, m // 2 + 1):
+        total = float(kappa_sq.sum()) / 12.0
+        for k in range(1, m // 2 + 1):
             d = np.roll(P, -k, axis=0) - P
             chord2 = np.einsum("ij,ij->i", d, d)
-            u = k * step
-            dint = min(u, L - u)
-            row = float((1.0 / chord2 - 1.0 / dint**2).sum())
+            row = float((1.0 / chord2 - 1.0 / (k * step) ** 2).sum())
             total += row if 2 * k == m else 2.0 * row
-        brute = total * step * step + band
+        brute = total * step * step
         assert rep.value == pytest.approx(brute, abs=5 * tol)
 
     def test_tol_range_enforced(self, circle_2pi):
@@ -487,13 +495,40 @@ class TestSmoothEnergy:
             with pytest.raises(InputError):
                 mk.smooth_moebius_energy(circle_2pi, tol=bad)
 
-    def test_unconverged_run_is_reported_not_raised(self, circle_2pi):
-        # the band model floor sits above tol = 1e-10 within 12 levels
-        rep = mk.smooth_moebius_energy(circle_2pi, tol=1e-10)
+    def test_unconverged_run_is_reported_not_raised(self):
+        # the rounded pentagon is only C^{1,1}: its grids converge as m^-2
+        # and still differ by 2.2e-6 at m = 4096
+        rep = mk.smooth_moebius_energy(mk.load_curve(ROUNDED_PENTAGON), tol=1e-10)
         assert rep.diagnostics["unconverged"] is True
         assert not rep.diagnostics["converged"]
         assert len(rep.diagnostics["last_estimates"]) == 2
-        assert rep.value == pytest.approx(4.0, abs=1e-7)
+        assert rep.value == pytest.approx(ROUNDED_PENTAGON_ENERGY, abs=5e-6)
+
+    def test_circle_reads_4_at_tol_1e10(self, circle_2pi):
+        rep = mk.smooth_moebius_energy(circle_2pi, tol=1e-10)
+        assert rep.diagnostics["converged"] is True
+        assert abs(rep.value - 4.0) < 1e-10
+
+    # reference values from a dense m x m evaluation of the rule, stable across
+    # m = 128 .. 2048; the ellipse (1, 0.3) to 10 digits (13.6031492 rounds it)
+    @pytest.mark.parametrize("source, value", SMOOTH_CURVES, ids=SMOOTH_IDS)
+    def test_smooth_curves_converge_spectrally(self, source, value):
+        rep = mk.smooth_moebius_energy(mk.arclength_reparametrize(source), tol=1e-10)
+        assert rep.diagnostics["converged"] is True
+        assert rep.diagnostics["grid"] <= 1024
+        assert rep.value == pytest.approx(value, rel=1e-9)
+
+    @pytest.mark.parametrize("source, value", SMOOTH_CURVES, ids=SMOOTH_IDS)
+    def test_matches_extrapolated_discrete_energies(self, source, value):
+        # E_n = E - a/n - b/n^2 - ... on equilateral inscriptions: two
+        # Richardson steps over n = 512, 1024, 2048 are a second route to E
+        curve = mk.arclength_reparametrize(source)
+        e = [mk.discrete_moebius_energy(mk.inscribe_equilateral(curve, n, tol=1e-10)[0]).value
+             for n in (512, 1024, 2048)]
+        first = [2.0 * b - a for a, b in zip(e, e[1:])]
+        extrapolated = (4.0 * first[1] - first[0]) / 3.0
+        quadrature = mk.smooth_moebius_energy(curve, tol=1e-10).value
+        assert extrapolated == pytest.approx(quadrature, rel=1e-6)
 
 
 class TestMoebiusInversion:

@@ -8,7 +8,7 @@ from moebius_kit.errors import InputError
 
 
 def test_reference_energy_circle_is_analytic(circle_1):
-    assert mk.reference_energy(circle_1) == 4.0
+    assert mk.reference_energy(circle_1) == (4.0, True)
 
 
 class TestConvergenceStudy:
@@ -76,6 +76,7 @@ class TestLiminf:
     def test_ellipse_quadrature_reference(self, ellipse_06):
         report = mk.liminf_spotcheck(ellipse_06, "inscribed", [16, 32, 64, 128])
         assert report.reference > 4.0
+        assert report.reference_converged is True
         assert report.liminf_ok and not report.invalid
 
     def test_non_converging_family_flagged(self, circle_1):
