@@ -43,10 +43,8 @@ from .errors import (
 )
 from .experiments import (
     AlmostMinimizerVerdict,
-    ConvergenceReport,
-    GammaRecoveryReport,
-    LiminfReport,
     MinimizerStudyReport,
+    StudyReport,
     almost_minimizer_check,
     convergence_study,
     gamma_recovery_study,

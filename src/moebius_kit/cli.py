@@ -226,9 +226,19 @@ def _study_outputs(report, out_dir: Path, stem: str, plot_data: bool) -> None:
         report.write_plot_data(out_dir / f"{stem}.dat")
 
 
-def _reference_exit(report) -> int:
-    """0, or 3 with a message when the study's smooth reference energy did not converge."""
-    if report.reference_converged:
+def _curve_study(args, kind: str, run, summary, seed=None, unused=()) -> int:
+    """Run ``run(curve, n_list)`` on ``--curve`` and ``--n``, write its artifacts and manifest.
+
+    Prints ``summary(report.fields)``.  Returns 0, or 3 with a message when
+    the study's smooth reference energy did not converge.
+    """
+    curve = load_curve(args.curve)
+    report = run(curve, parse_n_spec(args.n))
+    out_dir = _ensure_dir(args.out_dir)
+    _study_outputs(report, out_dir, kind, args.plot_data)
+    _write_manifest(out_dir, f"study {kind}", args, seed=seed, unused=unused)
+    print(summary(report.fields))
+    if report.fields["reference_converged"]:
         return 0
     print("error: smooth quadrature of the reference energy did not converge "
           "(reference_converged is false in the report)", file=sys.stderr)
@@ -236,26 +246,19 @@ def _reference_exit(report) -> int:
 
 
 def cmd_study_rate(args) -> int:
-    curve = load_curve(args.curve)
-    report = convergence_study(curve, parse_n_spec(args.n), mode=args.mode)
-    out_dir = _ensure_dir(args.out_dir)
-    _study_outputs(report, out_dir, "rate", args.plot_data)
-    _write_manifest(out_dir, "study rate", args)
-    print(f"rate {format_value(report.rate)}")
-    return _reference_exit(report)
+    return _curve_study(
+        args, "rate",
+        lambda curve, n_list: convergence_study(curve, n_list, mode=args.mode),
+        lambda fields: f"rate {format_value(fields['rate'])}",
+    )
 
 
 def cmd_study_gamma(args) -> int:
-    curve = load_curve(args.curve)
-    report = gamma_recovery_study(curve, parse_n_spec(args.n))
-    out_dir = _ensure_dir(args.out_dir)
-    _study_outputs(report, out_dir, "gamma", args.plot_data)
-    _write_manifest(out_dir, "study gamma", args)
-    print(
-        f"gap shrink {format_value(report.gap_shrink)}"
-        f" distance shrink {format_value(report.distance_shrink)}"
+    return _curve_study(
+        args, "gamma", gamma_recovery_study,
+        lambda fields: f"gap shrink {format_value(fields['gap_shrink'])}"
+                       f" distance shrink {format_value(fields['distance_shrink'])}",
     )
-    return _reference_exit(report)
 
 
 def cmd_study_minimizers(args) -> int:
@@ -269,16 +272,16 @@ def cmd_study_minimizers(args) -> int:
 
 
 def cmd_study_liminf(args) -> int:
-    curve = load_curve(args.curve)
-    report = liminf_spotcheck(curve, args.family, parse_n_spec(args.n), seed=args.seed)
-    out_dir = _ensure_dir(args.out_dir)
-    _study_outputs(report, out_dir, "liminf", args.plot_data)
     # only the perturbed family draws random numbers
     perturbed = args.family == "perturbed"
-    _write_manifest(out_dir, "study liminf", args, seed=args.seed if perturbed else None,
-                    unused=() if perturbed else ("seed",))
-    print(f"liminf check {'ok' if report.liminf_ok else 'violated'} (invalid={report.invalid})")
-    return _reference_exit(report)
+    return _curve_study(
+        args, "liminf",
+        lambda curve, n_list: liminf_spotcheck(curve, args.family, n_list, seed=args.seed),
+        lambda fields: f"liminf check {'ok' if fields['liminf_ok'] else 'violated'}"
+                       f" (invalid={fields['invalid']})",
+        seed=args.seed if perturbed else None,
+        unused=() if perturbed else ("seed",),
+    )
 
 
 class _Parser(argparse.ArgumentParser):

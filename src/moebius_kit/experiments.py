@@ -1,12 +1,18 @@
 """Desk-scale studies: convergence rates, recovery sequences, minimality, limits.
 
+The rate, recovery and lower-bound studies share one core: inscribe a
+family of polygons in the curve over an increasing n list and record E_n,
+|E - E_n| and, where the study names a norm, the distance to the curve.
+Each study is a view on that core that picks the family, the norm and the
+least number of sizes, and adds its own fields to one ``StudyReport``.
+The round circle's smooth energy is the analytic constant 4 (independent
+of scale), so circle studies use it directly instead of quadrature;
+everything else is measured.  Every ``StudyReport`` carries
+``reference_converged``, whether that quadrature met its tolerance, so an
+unconverged reference is never reported without saying so.
+
 Each study is deterministic given its seeds and tolerances and exports CSV
-and JSON plus gnuplot-ready two-column data files.  The round circle's
-smooth energy is the analytic constant 4 (independent of scale), so circle
-studies use it directly instead of quadrature; everything else is measured.
-The rate, recovery and lower-bound reports carry ``reference_converged``,
-whether that quadrature met its tolerance, so an unconverged reference is
-never reported without saying so.
+and JSON plus gnuplot-ready two-column data files.
 """
 
 from __future__ import annotations
@@ -28,11 +34,11 @@ from .polygon import ClosedPolygon, curve_distance, random_equilateral_polygon, 
 CIRCLE_ENERGY = 4.0  # full integral for any round circle; antiderivative -(1/2) cot(u/2)
 
 
-def reference_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> tuple[float, bool]:
+def reference_energy(curve: ArcLengthCurve) -> tuple[float, bool]:
     """Smooth energy of the curve and whether it converged: analytic for circles, quadrature otherwise."""
     if curve.kind == "circle":
         return CIRCLE_ENERGY, True
-    report = smooth_moebius_energy(curve, tol=tol)
+    report = smooth_moebius_energy(curve, tol=1e-8)
     return report.value, report.diagnostics["converged"]
 
 
@@ -69,115 +75,84 @@ def _write_plot_columns(path, pairs) -> None:
 
 
 @dataclass
-class ConvergenceReport:
-    """Rows (n, E_n, |E - E_n|) with the fitted log-log decay rate."""
+class StudyReport:
+    """One inscribed-sequence study: its rows, its scalar fields and its plot.
 
-    rows: list[tuple[int, float, float]]
-    rate: float
-    intercept: float
-    reference: float
-    reference_converged: bool
-    curve: str
-    mode: str
+    ``columns`` names the entries of each row (the CSV header and the JSON
+    row keys), ``fields`` holds the other JSON entries, among them
+    ``reference_energy`` and ``reference_converged``, and ``plot`` names the
+    two columns of the gnuplot data.
+    """
 
-    @property
-    def meets_rate_bound(self) -> bool:
-        return self.rate >= 0.85
+    columns: tuple[str, ...]
+    rows: list[tuple]
+    fields: dict
+    plot: tuple[str, str]
 
     def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "mode": self.mode,
-            "reference_energy": self.reference,
-            "reference_converged": self.reference_converged,
-            "rate": self.rate,
-            "intercept": self.intercept,
-            "rows": [{"n": n, "energy": e, "gap": g} for n, e, g in self.rows],
-        }
+        return {**self.fields, "rows": [dict(zip(self.columns, row)) for row in self.rows]}
 
     def write_csv(self, path) -> None:
-        _write_rows_csv(path, ["n", "energy", "gap"], self.rows)
+        _write_rows_csv(path, self.columns, self.rows)
 
     def write_json(self, path) -> None:
         _write_json(path, self.to_dict())
 
     def write_plot_data(self, path) -> None:
-        _write_plot_columns(path, [(n, g) for n, _, g in self.rows])
+        x, y = (self.columns.index(name) for name in self.plot)
+        _write_plot_columns(path, [(row[x], row[y]) for row in self.rows])
 
 
-def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform",
-                      quad_tol: float = 1e-8) -> ConvergenceReport:
+def _sequence(curve: ArcLengthCurve, make, n_list, least: int, norm=None) -> tuple[list, dict]:
+    """Rows (n, E_n, |E - E_n|[, distance]) of the polygons ``make(curve, n)``.
+
+    ``n_list`` must increase and hold at least ``least`` sizes.  ``norm``,
+    a (kind, q) pair for ``curve_distance``, adds the distance between the
+    polygon and the curve, both rescaled to length 1.  Also returns the
+    reference entries of the report's fields.
+    """
+    n_list = [int(n) for n in n_list]
+    if len(n_list) < least or any(b <= a for a, b in zip(n_list, n_list[1:])):
+        raise InputError(f"need an increasing list of at least {least} polygon sizes")
+    reference, converged = reference_energy(curve)
+    if norm:
+        kind, q = norm
+        curve_1 = curve.scaled(1.0 / curve.length)
+    rows = []
+    for n in n_list:
+        polygon = make(curve, n)
+        e_n = discrete_moebius_energy(polygon).value
+        row = (n, e_n, abs(reference - e_n))
+        if norm:
+            row += (curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm=kind, q=q),)
+        rows.append(row)
+    return rows, {"reference_energy": reference, "reference_converged": converged}
+
+
+def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform") -> StudyReport:
     """Discrete energies of inscribed polygons against the smooth energy.
 
     ``mode`` picks uniform-parameter or equilateral inscription (chord
     tolerance 1e-9).  The gap column is |E - E_n| and the fitted decay
     rate should sit near 1 for curves with bounded curvature.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 5 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InputError("need an increasing list of at least 5 polygon sizes")
-    if mode not in ("uniform", "equilateral"):
+    if mode == "uniform":
+        make = lambda c, n: inscribe_uniform(c, n)[0]
+    elif mode == "equilateral":
+        make = lambda c, n: inscribe_equilateral(c, n, tol=1e-9)[0]
+    else:
         raise InputError("mode must be 'uniform' or 'equilateral'")
-    reference, converged = reference_energy(curve, tol=quad_tol)
-    rows = []
-    for n in n_list:
-        if mode == "uniform":
-            polygon, _ = inscribe_uniform(curve, n)
-        else:
-            polygon, _ = inscribe_equilateral(curve, n, tol=1e-9)
-        e_n = discrete_moebius_energy(polygon).value
-        rows.append((n, e_n, abs(reference - e_n)))
+    rows, fields = _sequence(curve, make, n_list, 5)
     rate, intercept = _fit_rate([r[0] for r in rows], [r[2] for r in rows])
-    return ConvergenceReport(rows, rate, intercept, reference, converged, curve.kind, mode)
+    fields.update(curve=curve.kind, mode=mode, rate=rate, intercept=intercept)
+    return StudyReport(("n", "energy", "gap"), rows, fields, ("n", "gap"))
 
 
-@dataclass
-class GammaRecoveryReport:
-    """Recovery-sequence energies and W^{1,inf} distances to the (rescaled) curve."""
-
-    rows: list[tuple[int, float, float, float]]   # (n, E_n, gap, distance)
-    reference: float
-    reference_converged: bool
-    curve: str
-
-    @property
-    def gap_shrink(self) -> float:
-        return self.rows[0][2] / self.rows[-1][2] if self.rows[-1][2] > 0 else math.inf
-
-    @property
-    def distance_shrink(self) -> float:
-        return self.rows[0][3] / self.rows[-1][3] if self.rows[-1][3] > 0 else math.inf
-
-    @property
-    def columns_shrink(self) -> bool:
-        """Both columns drop 10x whenever the n range spans a factor of 32."""
-        if self.rows[-1][0] < 32 * self.rows[0][0]:
-            return True
-        return self.gap_shrink >= 10.0 and self.distance_shrink >= 10.0
-
-    def to_dict(self) -> dict:
-        return {
-            "curve": self.curve,
-            "reference_energy": self.reference,
-            "reference_converged": self.reference_converged,
-            "gap_shrink": self.gap_shrink,
-            "distance_shrink": self.distance_shrink,
-            "rows": [
-                {"n": n, "energy": e, "gap": g, "w1inf_distance": d} for n, e, g, d in self.rows
-            ],
-        }
-
-    def write_csv(self, path) -> None:
-        _write_rows_csv(path, ["n", "energy", "gap", "w1inf_distance"], self.rows)
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_dict())
-
-    def write_plot_data(self, path) -> None:
-        _write_plot_columns(path, [(n, d) for n, _, _, d in self.rows])
+def _shrink(first: float, last: float) -> float:
+    return first / last if last > 0 else math.inf
 
 
-def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
+def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> StudyReport:
     """Energies and W^{1,inf} distances of equilateral recovery polygons.
 
     The reference is the smooth energy at quadrature tolerance 1e-8 and
@@ -185,54 +160,14 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> GammaRecoveryReport:
     and the curve are rescaled to length 1 before the distance is
     measured; both columns should shrink to 0 as n grows.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 2 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InputError("need an increasing list of at least 2 polygon sizes")
-    reference, converged = reference_energy(curve)
-    L = curve.length
-    curve_1 = curve.scaled(1.0 / L)
-    rows = []
-    for n in n_list:
-        polygon = recovery_sequence(curve, n, tol=1e-9)
-        e_n = discrete_moebius_energy(polygon).value
-        dist = curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm="W1q", q=math.inf)
-        rows.append((n, e_n, abs(reference - e_n), dist))
-    return GammaRecoveryReport(rows, reference, converged, curve.kind)
-
-
-@dataclass
-class LiminfReport:
-    """Spot checks of the lower-bound inequality along an L^1-convergent family."""
-
-    rows: list[tuple[int, float, float, float]]   # (n, E_n, l1_distance, slack)
-    reference: float
-    reference_converged: bool
-    family: str
-    invalid: bool                                  # L^1 distances failed to decrease
-    tail_min_energy: float
-    liminf_ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "reference_energy": self.reference,
-            "reference_converged": self.reference_converged,
-            "invalid": self.invalid,
-            "tail_min_energy": self.tail_min_energy,
-            "liminf_ok": self.liminf_ok,
-            "rows": [
-                {"n": n, "energy": e, "l1_distance": d, "slack": s} for n, e, d, s in self.rows
-            ],
-        }
-
-    def write_csv(self, path) -> None:
-        _write_rows_csv(path, ["n", "energy", "l1_distance", "slack"], self.rows)
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_dict())
-
-    def write_plot_data(self, path) -> None:
-        _write_plot_columns(path, [(n, e) for n, e, _, _ in self.rows])
+    rows, fields = _sequence(curve, lambda c, n: recovery_sequence(c, n, tol=1e-9), n_list, 2,
+                             norm=("W1q", math.inf))
+    fields.update(
+        curve=curve.kind,
+        gap_shrink=_shrink(rows[0][2], rows[-1][2]),
+        distance_shrink=_shrink(rows[0][3], rows[-1][3]),
+    )
+    return StudyReport(("n", "energy", "gap", "w1inf_distance"), rows, fields, ("n", "w1inf_distance"))
 
 
 def _perturbed_inscribed(curve: ArcLengthCurve, n: int, seed: int) -> ClosedPolygon:
@@ -244,18 +179,16 @@ def _perturbed_inscribed(curve: ArcLengthCurve, n: int, seed: int) -> ClosedPoly
     return ClosedPolygon(polygon.vertices + (curve.length / n**2) * noise)
 
 
-def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 0) -> LiminfReport:
+def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 0) -> StudyReport:
     """Check E(curve) <= E_n + slack along a family converging to the curve in L^1.
 
     ``polygon_family`` is "inscribed", "perturbed", or a callable
     (curve, n) -> polygon.  For inscribed families slack_n = |E - E_n| is
     tautological and serves as a harness sanity check; the substantive
     check is that the tail minimum of E_n does not undercut E by more than
-    0.1 max(1, E).
+    0.1 max(1, E).  ``invalid`` is set when the L^1 distances fail to
+    decrease.
     """
-    n_list = [int(n) for n in n_list]
-    if len(n_list) < 3 or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise InputError("need an increasing list of at least 3 polygon sizes")
     if callable(polygon_family):
         family_name = getattr(polygon_family, "__name__", "custom")
         make = polygon_family
@@ -267,21 +200,17 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
         make = lambda c, n: _perturbed_inscribed(c, n, seed)
     else:
         raise InputError("polygon_family must be 'inscribed', 'perturbed', or callable")
-
-    reference, converged = reference_energy(curve)
-    curve_1 = curve.scaled(1.0 / curve.length)
-    rows = []
-    for n in n_list:
-        polygon = make(curve, n)
-        e_n = discrete_moebius_energy(polygon).value
-        dist = curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm="Lq", q=1)
-        rows.append((n, e_n, dist, abs(reference - e_n)))
-
-    invalid = not rows[-1][2] < rows[0][2]
-    tail = [e for _, e, _, _ in rows[len(rows) // 2:]]
-    tail_min = min(tail)
-    liminf_ok = reference <= tail_min + 0.1 * max(1.0, abs(reference))
-    return LiminfReport(rows, reference, converged, family_name, invalid, tail_min, liminf_ok)
+    rows, fields = _sequence(curve, make, n_list, 3, norm=("Lq", 1))
+    rows = [(n, e, dist, gap) for n, e, gap, dist in rows]
+    tail_min = min(e for _, e, _, _ in rows[len(rows) // 2:])
+    reference = fields["reference_energy"]
+    fields.update(
+        family=family_name,
+        invalid=not rows[-1][2] < rows[0][2],
+        tail_min_energy=tail_min,
+        liminf_ok=reference <= tail_min + 0.1 * max(1.0, abs(reference)),
+    )
+    return StudyReport(("n", "energy", "l1_distance", "slack"), rows, fields, ("n", "energy"))
 
 
 @dataclass

@@ -62,10 +62,10 @@ def test_criterion_4_convergence_rates(trefoil):
     circle = mk.unit_circle(1.0)
     circle_rate = mk.convergence_study(
         circle, [8, 16, 32, 64, 128, 256, 512, 1024], mode="uniform"
-    ).rate
+    ).fields["rate"]
     knot_rate = mk.convergence_study(
         trefoil, [32, 64, 128, 256, 512, 1024], mode="equilateral"
-    ).rate
+    ).fields["rate"]
     elapsed = time.perf_counter() - t0
     ok = 0.85 <= circle_rate <= 1.15 and knot_rate >= 0.85 and elapsed < 300.0
     report("criterion 4 (convergence rates)", ok,
@@ -77,14 +77,15 @@ def test_criterion_4_convergence_rates(trefoil):
 
 def test_criterion_5_gamma_recovery(trefoil):
     t0 = time.perf_counter()
-    study = mk.gamma_recovery_study(trefoil, [64, 128, 256, 512, 1024, 2048])
+    fields = mk.gamma_recovery_study(trefoil, [64, 128, 256, 512, 1024, 2048]).fields
+    gap_shrink, distance_shrink = fields["gap_shrink"], fields["distance_shrink"]
     elapsed = time.perf_counter() - t0
-    ok = study.gap_shrink >= 10.0 and study.distance_shrink >= 10.0 and elapsed < 600.0
+    ok = gap_shrink >= 10.0 and distance_shrink >= 10.0 and elapsed < 600.0
     report("criterion 5 (recovery sequences)", ok,
-           f"gap shrink={study.gap_shrink:.1f}x distance shrink={study.distance_shrink:.1f}x "
+           f"gap shrink={gap_shrink:.1f}x distance shrink={distance_shrink:.1f}x "
            f"runtime={elapsed:.0f}s")
-    assert study.gap_shrink >= 10.0
-    assert study.distance_shrink >= 10.0
+    assert gap_shrink >= 10.0
+    assert distance_shrink >= 10.0
     assert elapsed < 600.0
 
 
