@@ -344,6 +344,22 @@ def _cumulative_gauss(curve: ParametricCurve, intervals: int) -> np.ndarray:
     return seg
 
 
+def _prefix_sums(seg: np.ndarray) -> np.ndarray:
+    """Prefix sums 0, seg_0, seg_0 + seg_1, ... compensated to within about an ulp.
+
+    ``np.cumsum`` adds in order, so each partial sum is the rounded sum of
+    the previous one and the next term; TwoSum recovers each rounding
+    error exactly, and the running sum of those errors corrects the
+    partial sums.  Plain ``np.cumsum`` drifts by O(m eps) relative over m
+    terms.
+    """
+    total = np.cumsum(seg)
+    prev = np.concatenate([[0.0], total[:-1]])
+    back = total - prev
+    error = (prev - (total - back)) + (seg - back)
+    return np.concatenate([[0.0], total + np.cumsum(error)])
+
+
 def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
                             tol: float = 1e-9) -> ArcLengthCurve:
     """Reparametrize a closed curve by arc length.
@@ -386,7 +402,7 @@ def arclength_reparametrize(curve: ParametricCurve, nodes: int = 16384,
         raise InputError(f"degenerate curve: zero-length segment in table at index {idx}")
 
     u_table = np.arange(intervals + 1) / intervals
-    s_table = np.concatenate([[0.0], np.cumsum(seg)])
+    s_table = _prefix_sums(seg)
     out = ArcLengthCurve(curve, u_table, s_table)
     out.bilipschitz = bilipschitz_estimate(out)
     return out

@@ -24,6 +24,7 @@ from .errors import ConvergenceError, InputError
 from .polygon import ClosedPolygon
 
 _NEWTON_STEPS = 50  # Newton steps before an inscription gives up
+_FLOOR_STEPS = 10   # steps in a row at the chords' roundoff floor before it gives up
 _MIN_SLOPE = 1e-3   # floor of the Jacobian diagonal
 
 
@@ -146,7 +147,10 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
     every chord is within tol relative and 1e-13 max(L, |gamma(0)|)
     absolute of c, which takes the chords to roundoff, or after
     ``_NEWTON_STEPS`` steps.  An uncertified result raises
-    :class:`ConvergenceError`.
+    :class:`ConvergenceError`, and so does a solve whose chords stall at
+    their roundoff floor above tol: ``_FLOOR_STEPS`` steps in a row with
+    every vertex the first crossing and the largest chord residual within
+    the absolute bound but above tol c.
     """
     if n < 3:
         raise InputError("need n >= 3")
@@ -160,6 +164,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
     b = np.arange(n + 1) * (L / n)
     c = float(np.linalg.norm(np.diff(curve.eval(b), axis=0), axis=1).mean())
     settled = False
+    floor_steps = 0
     for newton in range(_NEWTON_STEPS + 1):
         pts, t = curve.point_and_tangent(b)
         d = np.diff(pts, axis=0)
@@ -167,9 +172,20 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
         residual = chords - c
         cap = min(1.25 * cb * c, 0.5 * L)
         lo, hi, clear = _scan_bracket(curve, b, pts, c, cap, residual, res_tol)
-        converged = bool(clear.all()) and float(np.abs(residual).max()) <= min(res_tol, tol * c)
+        worst = float(np.abs(residual).max())
+        converged = bool(clear.all()) and worst <= min(res_tol, tol * c)
         if converged and settled or newton == _NEWTON_STEPS:
             break
+        # at the floor the residual wanders by roundoff; no certified inscription
+        # of a sweep over the catalog stayed there more than 5 steps in a row
+        at_floor = bool(clear.all()) and tol * c < worst <= res_tol
+        floor_steps = floor_steps + 1 if at_floor else 0
+        if floor_steps == _FLOOR_STEPS:
+            raise ConvergenceError(
+                f"equilateral inscription for n={n} not certified after {newton} Newton steps: "
+                f"chord deviation {worst / c:.3e} > tol for {_FLOOR_STEPS} steps at the chords' "
+                f"roundoff floor, which tol is below"
+            )
         settled = converged
         u = d / chords[:, None]
         back = -np.einsum("ij,ij->i", t[:-1], u)
@@ -190,7 +206,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
         b[1:-1] = np.cumsum(steps[:-1]) * (L / steps.sum())
         c = c_next
     steps = np.diff(b)
-    dev = float(np.abs(residual).max()) / c
+    dev = worst / c
     k = int(np.argmin(clear))
     for failed, reason in (
         (steps.min() < 0.25 * c, f"step {steps.min():.3e} below c/4 = {0.25 * c:.3e}"),

@@ -2,12 +2,13 @@
 
 :func:`inverse_square_chord_blocks` is the one pairwise chord kernel: it
 visits each unordered vertex pair once, and the discrete energy, its
-gradient, the smooth energy's quadrature and the random sampler's
-double-point check all consume its row blocks, so each runs in O(n)
-memory beyond a block of about :data:`BLOCK_PAIRS` entries.
-:func:`close_equilateral` is the alternating projection onto closed
-equilateral chains: the random sampler closes Gaussian edges to unit
-length with it.  (The descent's nearest-point retraction,
+gradient and the smooth energy's quadrature all consume its row blocks, so
+each runs in O(n) memory beyond a block of about :data:`BLOCK_PAIRS`
+entries.  :func:`close_equilateral` is the alternating projection onto
+closed equilateral chains: the random sampler closes Gaussian edges to
+unit length with it, and certifies each closed draw free of double points
+by a k-d tree's neighbour query, in O(n log n) time and O(n) memory, not
+by the chord kernel.  (The descent's nearest-point retraction,
 :func:`optimize.project_equilateral_closed`, takes single sweeps of the
 same kind where no nearest chain exists, and does not call it.)  A
 :class:`ClosedPolygon` forms its edge vectors once, so the descent's
@@ -23,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ConvergenceError, DoublePointError, InputError
@@ -245,8 +247,10 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
 
     Gaussian edge vectors are drawn from the seeded generator and closed
     up by :func:`close_equilateral`; a draw that collapses, stalls or
-    comes within 1e-9 of a double point is redrawn.  Deterministic for a
-    fixed seed.
+    comes within 1e-9 of a double point is redrawn.  Attempt k draws from
+    ``SeedSequence(entropy=seed, spawn_key=(k,))``, so the result is
+    deterministic for a fixed seed.  The double points are found by a
+    k-d tree's pair query, in O(n log n) time and O(n) memory.
     """
     if n < 3:
         raise InputError("a polygon needs n >= 3")
@@ -256,12 +260,11 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         try:
             e = close_equilateral(rng.standard_normal((n, dim)), 1.0)
-            polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(e[:-1], axis=0)]))
-            for _ in inverse_square_chord_blocks(polygon, 1e-9):
-                pass
-        except (ConvergenceError, DoublePointError):
+        except ConvergenceError:
             continue
-        return polygon
+        polygon = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(e[:-1], axis=0)]))
+        if not cKDTree(polygon.vertices).query_pairs(1e-9):
+            return polygon
     raise ConvergenceError(f"could not close a random equilateral {n}-gon for seed {seed}")
 
 

@@ -180,6 +180,24 @@ def test_reparametrize_node_floor():
         mk.arclength_reparametrize(mk.circle(1.0), nodes=128)
 
 
+def test_prefix_sums_are_within_an_ulp_of_the_exact_sums():
+    # 16384 equal Gauss segments of the circle made np.cumsum drift by 1648 ulps
+    rng = np.random.default_rng(0)
+    for seg in (np.full(16384, 2.0 * math.pi / 16384), rng.random(20000)):
+        prefix = curves._prefix_sums(seg)
+        assert prefix[0] == 0.0 and prefix.size == seg.size + 1
+        for k in (1, 2, 777, seg.size // 2, seg.size):
+            exact = math.fsum(seg[:k])
+            assert abs(prefix[k] - exact) <= math.ulp(exact)
+
+
+def test_loaded_circle_reads_4():
+    # a relative speed error e in the table adds about (2 pi^2 / 3) m e to the energy
+    circle = mk.load_curve({"kind": "circle"})
+    assert circle.length == pytest.approx(2.0 * math.pi, rel=1e-15)
+    assert mk.smooth_moebius_energy(circle, tol=1e-10).value == pytest.approx(4.0, abs=1e-12)
+
+
 def test_reparametrize_compares_half_and_full_tables(monkeypatch):
     # a curve that agrees at once gets its table at `nodes` from two Gauss passes
     sizes = []

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import moebius_kit as mk
+from moebius_kit import inscription
 from moebius_kit.errors import ConvergenceError, InputError
 
 
@@ -277,3 +279,13 @@ def test_trefoil_hexagon_is_the_uniform_subdivision(trefoil):
     L = trefoil.length
     _, spec = mk.inscribe_equilateral(trefoil, 6)
     assert np.max(np.abs(spec.b - np.arange(6) * (L / 6))) <= 1e-12 * L
+
+
+@pytest.mark.parametrize("n", [4096, 16384])
+def test_tol_below_the_roundoff_floor_gives_up_early(trefoil, n):
+    # the chords' roundoff exceeds 1e-12 c at these n, so Newton cannot certify tol 1e-12
+    with pytest.raises(ConvergenceError, match="roundoff floor") as err:
+        mk.inscribe_equilateral(trefoil, n, tol=1e-12)
+    steps = re.search(r"after (\d+) Newton steps", str(err.value)).group(1)
+    assert int(steps) < inscription._NEWTON_STEPS
+    mk.inscribe_equilateral(trefoil, n, tol=1e-10)

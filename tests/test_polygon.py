@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import moebius_kit as mk
 from moebius_kit import polygon
 from moebius_kit.errors import ConvergenceError, DoublePointError, InputError
-from moebius_kit.polygon import close_equilateral
+from moebius_kit.polygon import ClosedPolygon, close_equilateral, inverse_square_chord_blocks
 
 # (n, dim, seed) of a random Gaussian chain
 chains = st.tuples(st.integers(3, 64), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -82,6 +83,76 @@ def test_random_equilateral_polygon_postconditions():
     assert cert.closure_residual <= 1e-12
     again = mk.random_equilateral_polygon(40, dim=3, seed=7)
     assert np.array_equal(p.vertices, again.vertices)
+
+
+def chord_kernel_sampler(n, dim, seed):
+    """The sampler with the O(n^2) chord kernel as its double-point certificate."""
+    for attempt in range(100):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
+        try:
+            e = polygon.close_equilateral(rng.standard_normal((n, dim)), 1.0)
+            p = ClosedPolygon(np.vstack([np.zeros(dim), np.cumsum(e[:-1], axis=0)]))
+            for _ in inverse_square_chord_blocks(p, 1e-9):
+                pass
+        except (ConvergenceError, DoublePointError):
+            continue
+        return p
+    raise ConvergenceError(f"could not close a random equilateral {n}-gon for seed {seed}")
+
+
+def test_sampler_matches_the_chord_kernel_certificate_bitwise(monkeypatch):
+    # both samplers close the same draws, so each closure runs once; about 50
+    # attempts among the small draws come within 1e-9 of a double point
+    closed = {}
+
+    def close_once(edges, length):
+        key = edges.tobytes()
+        if key not in closed:
+            try:
+                closed[key] = close_equilateral(edges, length)
+            except ConvergenceError as exc:
+                closed[key] = exc
+        if isinstance(closed[key], ConvergenceError):
+            raise closed[key]
+        return closed[key].copy()
+
+    monkeypatch.setattr(polygon, "close_equilateral", close_once)
+    draws = [(n, dim, seed) for dim in (2, 3) for n in range(3, 41) for seed in range(30)]
+    draws += [(n, 3, seed) for n in (256, 1024, 4096) for seed in (0, 1)]
+    for n, dim, seed in draws:
+        got = mk.random_equilateral_polygon(n, dim=dim, seed=seed).vertices
+        assert got.tobytes() == chord_kernel_sampler(n, dim, seed).vertices.tobytes(), (n, dim, seed)
+        closed.clear()
+
+
+def test_sampler_redraws_a_double_point(monkeypatch):
+    # attempt 0 closes to the bow-tie e, -e, e, -e, whose vertices 0 and 2 coincide
+    calls = []
+
+    def bow_tie_first(edges, length):
+        calls.append(edges)
+        if len(calls) == 1:
+            e = np.array([1.0, 0.0, 0.0])
+            return np.array([e, -e, e, -e])
+        return close_equilateral(edges, length)
+
+    monkeypatch.setattr(polygon, "close_equilateral", bow_tie_first)
+    p = mk.random_equilateral_polygon(4, dim=3, seed=5)
+    assert len(calls) == 2
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(1,)))
+    e = close_equilateral(rng.standard_normal((4, 3)), 1.0)
+    assert p.vertices.tobytes() == np.vstack([np.zeros(3), np.cumsum(e[:-1], axis=0)]).tobytes()
+
+
+def test_sampler_peak_memory():
+    # the chord kernel's row blocks bound the other pair kernels at 16 MB traced
+    tracemalloc.start()
+    try:
+        mk.random_equilateral_polygon(4096, dim=3, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @settings(deadline=None)

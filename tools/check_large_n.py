@@ -1,4 +1,4 @@
-"""Pair kernels, equilateral inscription, retraction and alignment at large n in bounded memory.
+"""Pair kernels, inscription, retraction, sampling and alignment at large n in bounded memory.
 
 Runs ``discrete_moebius_energy`` and ``energy_gradient`` on
 ``regular_ngon(16384, 16384.0, dim=3)``, ``minimum_distance_energy`` on
@@ -18,7 +18,9 @@ before L.  It also retracts one trial step of the regular 16384-gon (a
 seeded Gaussian step of 0.01 edge per coordinate) with
 ``project_equilateral_closed``, and aligns a rotated, reversed and
 relabeled copy of a random equilateral 16384-gon to the original with
-``align_rigid``, again each below 64 MB traced: the retraction must leave
+``align_rigid``, again each below 64 MB traced, as is the sampling of
+that random 16384-gon by ``random_equilateral_polygon`` (its seconds are
+printed, not checked): the retraction must leave
 edge deviation and closure residual over the edge at most 1e-12, and the
 alignment must recover the planted relabeling with RMS residual at most
 1e-9 L.  Takes several seconds, so it is kept out of the test suite.
@@ -88,7 +90,7 @@ def main() -> int:
     retracted, retract_mb, retract_s = traced(mk.project_equilateral_closed, regular.vertices + step)
     cert = retracted.equilaterality()
     closure = cert.closure_residual / (retracted.total_length / N)
-    original = mk.random_equilateral_polygon(N, dim=3, seed=0)
+    original, sample_mb, sample_s = traced(mk.random_equilateral_polygon, N, 3, 0)
     rotation, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((3, 3)))
     rotation *= np.linalg.det(rotation)       # proper: det +1
     orientation, shift = PLANTED
@@ -118,6 +120,8 @@ def main() -> int:
          retract_mb < PEAK_LIMIT_MB),
         (f"retraction edge deviation {cert.max_edge_deviation:.1e}, closure {closure:.1e} edges "
          f"<= {RETRACTION_TOL:g}", max(cert.max_edge_deviation, closure) <= RETRACTION_TOL),
+        (f"sampler peak {sample_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({sample_s:.3f} s)",
+         sample_mb < PEAK_LIMIT_MB),
         (f"alignment peak {align_mb:.1f} MB < {PEAK_LIMIT_MB:g} MB ({align_s:.2f} s)",
          align_mb < PEAK_LIMIT_MB),
         (f"alignment rms {rms:.1e} <= {align_tol:.1e}, relabeling {relabeling} == {PLANTED}",
