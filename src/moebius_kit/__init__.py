@@ -25,7 +25,6 @@ from .curves import (
 )
 from .energies import (
     EnergyReport,
-    WeightScheme,
     discrete_moebius_energy,
     minimum_distance_energy,
     moebius_inversion,
@@ -42,10 +41,7 @@ from .errors import (
     SingularityError,
 )
 from .experiments import (
-    AlmostMinimizerVerdict,
-    MinimizerStudyReport,
     StudyReport,
-    almost_minimizer_check,
     convergence_study,
     gamma_recovery_study,
     liminf_spotcheck,

@@ -219,26 +219,20 @@ def cmd_minimize(args) -> int:
     return 0
 
 
-def _study_outputs(report, out_dir: Path, stem: str, plot_data: bool) -> None:
-    report.write_csv(out_dir / f"{stem}.csv")
-    report.write_json(out_dir / f"{stem}.json")
-    if plot_data:
-        report.write_plot_data(out_dir / f"{stem}.dat")
+def _study(args, kind: str, report, summary: str, seed=None, unused=()) -> int:
+    """Write the study's artifacts and manifest and print ``summary``.
 
-
-def _curve_study(args, kind: str, run, summary, seed=None, unused=()) -> int:
-    """Run ``run(curve, n_list)`` on ``--curve`` and ``--n``, write its artifacts and manifest.
-
-    Prints ``summary(report.fields)``.  Returns 0, or 3 with a message when
-    the study's smooth reference energy did not converge.
+    Returns 0, or 3 with a message when the study has a smooth reference
+    energy and it did not converge.
     """
-    curve = load_curve(args.curve)
-    report = run(curve, parse_n_spec(args.n))
     out_dir = _ensure_dir(args.out_dir)
-    _study_outputs(report, out_dir, kind, args.plot_data)
+    report.write_csv(out_dir / f"{kind}.csv")
+    report.write_json(out_dir / f"{kind}.json")
+    if args.plot_data:
+        report.write_plot_data(out_dir / f"{kind}.dat")
     _write_manifest(out_dir, f"study {kind}", args, seed=seed, unused=unused)
-    print(summary(report.fields))
-    if report.fields["reference_converged"]:
+    print(summary)
+    if report.fields.get("reference_converged", True):
         return 0
     print("error: smooth quadrature of the reference energy did not converge "
           "(reference_converged is false in the report)", file=sys.stderr)
@@ -246,42 +240,33 @@ def _curve_study(args, kind: str, run, summary, seed=None, unused=()) -> int:
 
 
 def cmd_study_rate(args) -> int:
-    return _curve_study(
-        args, "rate",
-        lambda curve, n_list: convergence_study(curve, n_list, mode=args.mode),
-        lambda fields: f"rate {format_value(fields['rate'])}",
-    )
+    report = convergence_study(load_curve(args.curve), parse_n_spec(args.n), mode=args.mode)
+    return _study(args, "rate", report, f"rate {format_value(report.fields['rate'])}")
 
 
 def cmd_study_gamma(args) -> int:
-    return _curve_study(
-        args, "gamma", gamma_recovery_study,
-        lambda fields: f"gap shrink {format_value(fields['gap_shrink'])}"
-                       f" distance shrink {format_value(fields['distance_shrink'])}",
-    )
+    report = gamma_recovery_study(load_curve(args.curve), parse_n_spec(args.n))
+    return _study(args, "gamma", report,
+                  f"gap shrink {format_value(report.fields['gap_shrink'])}"
+                  f" distance shrink {format_value(report.fields['distance_shrink'])}")
 
 
 def cmd_study_minimizers(args) -> int:
     cfg = OptimizerConfig(max_iterations=args.max_iter)
     report = minimizer_study(parse_n_spec(args.n), seeds=args.seeds, dim=args.dim, cfg=cfg)
-    out_dir = _ensure_dir(args.out_dir)
-    _study_outputs(report, out_dir, "minimizers", args.plot_data)
-    _write_manifest(out_dir, "study minimizers", args, seed=args.seeds)
-    print(f"circle distances decreasing: {report.distances_decreasing}")
-    return 0
+    return _study(args, "minimizers", report,
+                  f"circle distances decreasing: {report.fields['distances_decreasing']}",
+                  seed=args.seeds)
 
 
 def cmd_study_liminf(args) -> int:
+    report = liminf_spotcheck(load_curve(args.curve), args.family, parse_n_spec(args.n), seed=args.seed)
     # only the perturbed family draws random numbers
     perturbed = args.family == "perturbed"
-    return _curve_study(
-        args, "liminf",
-        lambda curve, n_list: liminf_spotcheck(curve, args.family, n_list, seed=args.seed),
-        lambda fields: f"liminf check {'ok' if fields['liminf_ok'] else 'violated'}"
-                       f" (invalid={fields['invalid']})",
-        seed=args.seed if perturbed else None,
-        unused=() if perturbed else ("seed",),
-    )
+    return _study(args, "liminf", report,
+                  f"liminf check {'ok' if report.fields['liminf_ok'] else 'violated'}"
+                  f" (invalid={report.fields['invalid']})",
+                  seed=args.seed if perturbed else None, unused=() if perturbed else ("seed",))
 
 
 class _Parser(argparse.ArgumentParser):

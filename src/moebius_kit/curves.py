@@ -65,13 +65,16 @@ class ParametricCurve:
         return np.asarray(self.derivative(u), dtype=float)
 
     def validate(self) -> None:
-        """Check periodicity and non-degeneracy on a 2048-point sample grid."""
-        p0 = self(np.array([0.0]))
-        p1 = self(np.array([1.0 - 1e-15]))
+        """Check periodicity, finiteness and non-degeneracy on a 2048-point sample grid."""
+        with np.errstate(invalid="ignore", over="ignore"):   # non-finite samples are raised below
+            p0 = self(np.array([0.0]))
+            p1 = self(np.array([1.0 - 1e-15]))
+            pts = self(np.arange(2048) / 2048)
+        if not (np.isfinite(pts).all() and np.isfinite(p1).all()):
+            raise InputError(f"curve kind {self.kind!r} has non-finite samples; check its parameters")
         scale = max(1.0, float(np.max(np.abs(p0))))
         if np.max(np.abs(p0 - p1)) > 1e-12 * scale:
             raise InputError(f"curve kind {self.kind!r} is not periodic at the endpoints")
-        pts = self(np.arange(2048) / 2048)
         steps = np.linalg.norm(np.diff(pts, axis=0), axis=1)
         if np.any(steps == 0.0):
             idx = int(np.argmin(steps))
@@ -258,7 +261,7 @@ def parametric_from_descriptor(descriptor: dict) -> ParametricCurve:
         raise InputError(f"curve params must be a JSON object, not {type(params).__name__}")
     try:
         return _CATALOG[kind](**params)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"bad parameters for curve kind {kind!r}: {exc}") from None
 
 

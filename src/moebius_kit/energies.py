@@ -14,7 +14,6 @@ spot checks.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, field
 
@@ -24,18 +23,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .curves import ArcLengthCurve, ParametricCurve
 from .errors import DoublePointError, InputError, NotEmbeddedError
 from .polygon import BLOCK_PAIRS, ClosedPolygon, chord_length_regular, inverse_square_chord_blocks
-
-
-class WeightScheme(str, enum.Enum):
-    """Quadrature weights for the discrete energy.
-
-    ``forward`` weights a vertex by its outgoing edge length; ``averaged``
-    by the mean of its two incident edge lengths.  Both coincide on
-    equilateral polygons.
-    """
-
-    FORWARD = "forward"
-    AVERAGED = "averaged"
 
 
 @dataclass
@@ -74,7 +61,7 @@ class EnergyReport:
             fh.write("".join(["i,j,term\n", *rows]))
 
 
-def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
+def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward",
                             keep_terms: bool = False) -> EnergyReport:
     """Discrete Moebius energy of a closed polygon.
 
@@ -89,11 +76,16 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
     sum of the block sums.  The (n, n) term matrix, both triangles, exists
     only under ``keep_terms``.  Nearly coincident vertices raise
     :class:`DoublePointError` (the energy is infinite there).
+
+    The ``"forward"`` scheme weights a vertex by its outgoing edge length,
+    ``"averaged"`` by the mean of its two incident edge lengths; both
+    coincide on equilateral polygons.
     """
-    scheme = WeightScheme(scheme)
+    if scheme not in ("forward", "averaged"):
+        raise InputError(f"weight scheme must be 'forward' or 'averaged', not {scheme!r}")
     n, L, a = p.n, p.total_length, p.arc_params
     forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
-    w = forward if scheme is WeightScheme.FORWARD else 0.5 * (np.roll(forward, 1) + forward)
+    w = forward if scheme == "forward" else 0.5 * (np.roll(forward, 1) + forward)
 
     terms = np.zeros((n, n)) if keep_terms else None
     sums, smallest_chord, largest_term = [], math.inf, 0.0
@@ -123,12 +115,12 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme=WeightScheme.FORWARD,
     return EnergyReport(
         value=2.0 * math.fsum(sums),
         term_count=n * (n - 1),
-        scheme=scheme.value,
+        scheme=scheme,
         terms=terms,
         diagnostics={
             "smallest_chord": smallest_chord,
             "largest_term": largest_term,
-            "weights": scheme.value,
+            "weights": scheme,
         },
     )
 

@@ -4,15 +4,18 @@ The rate, recovery and lower-bound studies share one core: inscribe a
 family of polygons in the curve over an increasing n list and record E_n,
 |E - E_n| and, where the study names a norm, the distance to the curve.
 Each study is a view on that core that picks the family, the norm and the
-least number of sizes, and adds its own fields to one ``StudyReport``.
-The round circle's smooth energy is the analytic constant 4 (independent
-of scale), so circle studies use it directly instead of quadrature;
-everything else is measured.  Every ``StudyReport`` carries
-``reference_converged``, whether that quadrature met its tolerance, so an
-unconverged reference is never reported without saying so.
+least number of sizes, and adds its own fields.  The round circle's smooth
+energy is the analytic constant 4 (independent of scale), so circle
+studies use it directly instead of quadrature; everything else is
+measured.  These three reports carry ``reference_converged``, whether that
+quadrature met its tolerance, so an unconverged reference is never
+reported without saying so.  The minimizer study descends from seeded
+random equilateral polygons and compares the best end state per n with
+the regular n-gon and the round circle.
 
-Each study is deterministic given its seeds and tolerances and exports CSV
-and JSON plus gnuplot-ready two-column data files.
+Every study returns one ``StudyReport``: rows of named entries, scalar
+fields and a plot.  Each is deterministic given its seeds and tolerances
+and exports CSV and JSON plus gnuplot-ready two-column data files.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,58 +56,50 @@ def _fit_rate(ns, gaps) -> tuple[float, float]:
     return -float(slope), float(intercept)
 
 
-def _write_rows_csv(path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([x if isinstance(x, (int, str)) else repr(float(x)) for x in row])
-
-
-def _write_json(path, data: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(data, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def _write_plot_columns(path, pairs) -> None:
-    """Two-column whitespace-separated data, one point per line (gnuplot-ready)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for x, y in pairs:
-            fh.write(f"{float(x)!r} {float(y)!r}\n")
-
-
 @dataclass
 class StudyReport:
-    """One inscribed-sequence study: its rows, its scalar fields and its plot.
+    """One study: its rows, its scalar fields and its plot.
 
-    ``columns`` names the entries of each row (the CSV header and the JSON
-    row keys), ``fields`` holds the other JSON entries, among them
-    ``reference_energy`` and ``reference_converged``, and ``plot`` names the
-    two columns of the gnuplot data.
+    Each row is a dict, written whole to the JSON next to ``fields``, among
+    them ``reference_energy`` and ``reference_converged`` for the
+    inscribed-sequence studies.  ``columns`` names the row entries of the
+    CSV, in order, with a bool written as 0/1, and ``plot`` names the two
+    columns of the gnuplot data.
     """
 
     columns: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[dict]
     fields: dict
     plot: tuple[str, str]
 
     def to_dict(self) -> dict:
-        return {**self.fields, "rows": [dict(zip(self.columns, row)) for row in self.rows]}
+        return {**self.fields, "rows": self.rows}
 
     def write_csv(self, path) -> None:
-        _write_rows_csv(path, self.columns, self.rows)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(self.columns)
+            for row in self.rows:
+                values = [row[name] for name in self.columns]
+                # int() writes a bool as 0/1
+                writer.writerow([int(x) if isinstance(x, int) else repr(float(x)) for x in values])
 
     def write_json(self, path) -> None:
-        _write_json(path, self.to_dict())
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(self.to_dict(), fh, sort_keys=True, indent=2)
+            fh.write("\n")
 
     def write_plot_data(self, path) -> None:
-        x, y = (self.columns.index(name) for name in self.plot)
-        _write_plot_columns(path, [(row[x], row[y]) for row in self.rows])
+        """Two-column whitespace-separated data, one point per line (gnuplot-ready)."""
+        x, y = self.plot
+        with open(path, "w", encoding="utf-8") as fh:
+            for row in self.rows:
+                fh.write(f"{float(row[x])!r} {float(row[y])!r}\n")
 
 
-def _sequence(curve: ArcLengthCurve, make, n_list, least: int, norm=None) -> tuple[list, dict]:
-    """Rows (n, E_n, |E - E_n|[, distance]) of the polygons ``make(curve, n)``.
+def _sequence(curve: ArcLengthCurve, make, n_list, least: int, keys=("n", "energy", "gap"),
+              norm=None) -> tuple[list[dict], dict]:
+    """Rows n, E_n, |E - E_n|[, distance] of the polygons ``make(curve, n)``, named by ``keys``.
 
     ``n_list`` must increase and hold at least ``least`` sizes.  ``norm``,
     a (kind, q) pair for ``curve_distance``, adds the distance between the
@@ -125,7 +120,7 @@ def _sequence(curve: ArcLengthCurve, make, n_list, least: int, norm=None) -> tup
         row = (n, e_n, abs(reference - e_n))
         if norm:
             row += (curve_distance(polygon.scaled(1.0 / polygon.total_length), curve_1, norm=kind, q=q),)
-        rows.append(row)
+        rows.append(dict(zip(keys, row)))
     return rows, {"reference_energy": reference, "reference_converged": converged}
 
 
@@ -143,7 +138,7 @@ def convergence_study(curve: ArcLengthCurve, n_list, mode: str = "uniform") -> S
     else:
         raise InputError("mode must be 'uniform' or 'equilateral'")
     rows, fields = _sequence(curve, make, n_list, 5)
-    rate, intercept = _fit_rate([r[0] for r in rows], [r[2] for r in rows])
+    rate, intercept = _fit_rate([r["n"] for r in rows], [r["gap"] for r in rows])
     fields.update(curve=curve.kind, mode=mode, rate=rate, intercept=intercept)
     return StudyReport(("n", "energy", "gap"), rows, fields, ("n", "gap"))
 
@@ -160,14 +155,15 @@ def gamma_recovery_study(curve: ArcLengthCurve, n_list) -> StudyReport:
     and the curve are rescaled to length 1 before the distance is
     measured; both columns should shrink to 0 as n grows.
     """
-    rows, fields = _sequence(curve, lambda c, n: recovery_sequence(c, n, tol=1e-9), n_list, 2,
+    keys = ("n", "energy", "gap", "w1inf_distance")
+    rows, fields = _sequence(curve, lambda c, n: recovery_sequence(c, n, tol=1e-9), n_list, 2, keys,
                              norm=("W1q", math.inf))
     fields.update(
         curve=curve.kind,
-        gap_shrink=_shrink(rows[0][2], rows[-1][2]),
-        distance_shrink=_shrink(rows[0][3], rows[-1][3]),
+        gap_shrink=_shrink(rows[0]["gap"], rows[-1]["gap"]),
+        distance_shrink=_shrink(rows[0]["w1inf_distance"], rows[-1]["w1inf_distance"]),
     )
-    return StudyReport(("n", "energy", "gap", "w1inf_distance"), rows, fields, ("n", "w1inf_distance"))
+    return StudyReport(keys, rows, fields, ("n", "w1inf_distance"))
 
 
 def _perturbed_inscribed(curve: ArcLengthCurve, n: int, seed: int) -> ClosedPolygon:
@@ -200,58 +196,21 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
         make = lambda c, n: _perturbed_inscribed(c, n, seed)
     else:
         raise InputError("polygon_family must be 'inscribed', 'perturbed', or callable")
-    rows, fields = _sequence(curve, make, n_list, 3, norm=("Lq", 1))
-    rows = [(n, e, dist, gap) for n, e, gap, dist in rows]
-    tail_min = min(e for _, e, _, _ in rows[len(rows) // 2:])
+    rows, fields = _sequence(curve, make, n_list, 3, ("n", "energy", "slack", "l1_distance"),
+                             norm=("Lq", 1))
+    tail_min = min(row["energy"] for row in rows[len(rows) // 2:])
     reference = fields["reference_energy"]
     fields.update(
         family=family_name,
-        invalid=not rows[-1][2] < rows[0][2],
+        invalid=not rows[-1]["l1_distance"] < rows[0]["l1_distance"],
         tail_min_energy=tail_min,
         liminf_ok=reference <= tail_min + 0.1 * max(1.0, abs(reference)),
     )
     return StudyReport(("n", "energy", "l1_distance", "slack"), rows, fields, ("n", "energy"))
 
 
-@dataclass
-class MinimizerStudyReport:
-    """Best-of-seeds discrete minimizers per n, compared to g_n and the circle."""
-
-    rows: list[dict] = field(default_factory=list)
-    distances_decreasing: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "distances_decreasing": self.distances_decreasing,
-            "rows": [
-                {k: v for k, v in row.items() if k != "best_polygon"} for row in self.rows
-            ],
-        }
-
-    def write_csv(self, path) -> None:
-        header = ["n", "min_energy", "gap", "procrustes_residual", "circle_distance", "flagged"]
-        rows = [
-            (
-                row["n"],
-                row["min_energy"],
-                row["gap"],
-                row["procrustes_residual"],
-                row["circle_distance"],
-                int(row["flagged"]),
-            )
-            for row in self.rows
-        ]
-        _write_rows_csv(path, header, rows)
-
-    def write_json(self, path) -> None:
-        _write_json(path, self.to_dict())
-
-    def write_plot_data(self, path) -> None:
-        _write_plot_columns(path, [(row["n"], row["circle_distance"]) for row in self.rows])
-
-
 def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
-                    cfg: OptimizerConfig | None = None) -> MinimizerStudyReport:
+                    cfg: OptimizerConfig | None = None) -> StudyReport:
     """Minimize the discrete energy from seeded random equilateral starts.
 
     For each n, seeds 0 .. seeds - 1 are descended; the best run is
@@ -266,7 +225,7 @@ def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
     if int(seeds) < 10:
         raise InputError("need at least 10 seeds")
 
-    report = MinimizerStudyReport()
+    rows = []
     for n in n_list:
         best = None
         terminations = []
@@ -285,7 +244,7 @@ def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
         rescaled = polygon.scaled(1.0 / polygon.total_length)
         aligned, _ = align_rigid(rescaled, circle)
         dist = curve_distance(aligned, circle, norm="W1q", q=math.inf)
-        report.rows.append(
+        rows.append(
             {
                 "n": n,
                 "min_energy": min_energy,
@@ -294,46 +253,12 @@ def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
                 "circle_distance": dist,
                 "flagged": flagged,
                 "terminations": terminations,
-                "best_polygon": polygon,
             }
         )
-    dists = [row["circle_distance"] for row in report.rows]
-    report.distances_decreasing = all(b < a for a, b in zip(dists, dists[1:]))
-    return report
-
-
-@dataclass(frozen=True)
-class AlmostMinimizerVerdict:
-    passed: bool
-    reasons: tuple[str, ...]
-
-
-def almost_minimizer_check(values, inf_values, limit_value: float,
-                           tol: float = 1e-6) -> AlmostMinimizerVerdict:
-    """Consistency check for almost-minimizer convergence data.
-
-    Verifies, with a finite-sample allowance of twice the tail spread, the
-    chain: limit energy <= tail minimum of the per-n infima <= limit
-    energy, together with the almost-minimizer hypothesis that the gap
-    between achieved values and infima shrinks.
-    """
-    values = [float(x) for x in values]
-    inf_values = [float(x) for x in inf_values]
-    if len(values) != len(inf_values) or len(values) < 3:
-        raise InputError("need two sequences of equal length >= 3")
-    tail_len = max(3, len(inf_values) // 3)
-    tail = inf_values[-tail_len:]
-    tail_min = min(tail)
-    spread = max(tail) - tail_min
-    reasons = []
-    if limit_value > tail_min + 2.0 * spread + tol:
-        reasons.append(
-            f"limit {limit_value!r} exceeds tail minimum {tail_min!r} beyond the allowance"
-        )
-    if tail_min > limit_value + 2.0 * spread + tol:
-        reasons.append(f"tail minimum {tail_min!r} exceeds the limit {limit_value!r}")
-    first_gap = abs(values[0] - inf_values[0])
-    last_gap = abs(values[-1] - inf_values[-1])
-    if last_gap > max(tol, first_gap + tol):
-        reasons.append(f"almost-minimizer gap grew from {first_gap!r} to {last_gap!r}")
-    return AlmostMinimizerVerdict(passed=not reasons, reasons=tuple(reasons))
+    dists = [row["circle_distance"] for row in rows]
+    return StudyReport(
+        ("n", "min_energy", "gap", "procrustes_residual", "circle_distance", "flagged"),
+        rows,
+        {"distances_decreasing": all(b < a for a, b in zip(dists, dists[1:]))},
+        ("n", "circle_distance"),
+    )

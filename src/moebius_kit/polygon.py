@@ -297,7 +297,7 @@ def curve_distance(f, g, norm: str = "Lq", q=2, grid: int | None = None) -> floa
     if norm not in ("Lq", "W1q"):
         raise InputError("norm must be 'Lq' or 'W1q'")
     q = float(q)
-    if not (q >= 1.0 or math.isinf(q)):
+    if not q >= 1.0:
         raise InputError("q must lie in [1, inf]")
     min_grid = 2 * max(f_segs, g_segs, 256)
     if grid is None:

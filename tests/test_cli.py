@@ -279,6 +279,30 @@ def test_bad_curve_descriptor_exits_1(descriptor, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "descriptor",
+    [
+        '{"kind": "ellipse", "params": {"a": Infinity, "b": 1}}',
+        '{"kind": "circle", "params": {"radius": NaN}}',
+        '{"kind": "torus_knot", "params": {"p": 2, "q": 3, "ring_radius": Infinity, "tube_radius": 1}}',
+        '{"kind": "rounded_polygon", "params": {"sides": Infinity}}',
+    ],
+)
+@pytest.mark.parametrize("command", [["energy", "--kind", "smooth"], ["inscribe", "--n", "8"]])
+def test_non_finite_curve_parameters_exit_1(descriptor, command, tmp_path, capsys):
+    # these used to refine the arc-length table for seconds and exit 3, or
+    # end in an OverflowError traceback
+    out = tmp_path / "run"
+    argv = [*command, "--curve", descriptor]
+    if command[0] == "inscribe":
+        argv += ["--out-dir", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_study_rate(circle_path, tmp_path, capsys):
     out = tmp_path / "rate"
     rc = main(["study", "rate", "--curve", circle_path, "--n", "8:128:x2",

@@ -63,6 +63,11 @@ class TestDiscreteEnergy:
         av = mk.discrete_moebius_energy(rect, scheme="averaged").value
         assert fw != av
 
+    def test_unknown_weight_scheme_is_an_input_error(self):
+        sq = mk.ClosedPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(InputError, match="forward"):
+            mk.discrete_moebius_energy(sq, scheme="bogus")
+
 
 class TestRegularNgonOracle:
     def test_square_hexagon_triangle(self):

@@ -341,6 +341,12 @@ def test_curve_distance_length_mismatch(circle_1, circle_2pi):
         mk.curve_distance(circle_1, circle_2pi, norm="Lq", q=2)
 
 
+@pytest.mark.parametrize("q", [0.5, 0.0, -1.0, -math.inf, math.nan])
+def test_curve_distance_rejects_q_outside_1_to_inf(circle_1, q):
+    with pytest.raises(InputError, match="q must lie"):
+        mk.curve_distance(circle_1, circle_1, norm="Lq", q=q)
+
+
 def test_edge_vectors_are_fresh_copies_of_the_rolled_differences():
     p = mk.random_equilateral_polygon(11, dim=3, seed=4)
     rolled = np.roll(p.vertices, -1, axis=0) - p.vertices
