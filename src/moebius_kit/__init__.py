@@ -49,8 +49,6 @@ from .experiments import (
     reference_energy,
 )
 from .inscription import (
-    ChordBoundReport,
-    SubdivisionSpec,
     inscribe_equilateral,
     inscribe_uniform,
     recovery_sequence,

@@ -5,7 +5,7 @@ resolved configuration, seed, and library versions; identical
 configurations produce byte-identical artifacts (manifest timestamp
 aside).  Exit codes: 0 success, 1 input error, 2 mathematical singularity
 (infinite energy, non-embedded curve), 3 non-convergence, a study's smooth
-reference energy included.
+reference energy and a flagged study row (no descent converged) included.
 """
 
 from __future__ import annotations
@@ -160,17 +160,20 @@ def cmd_inscribe(args) -> int:
     curve = load_curve(args.curve)
     n = int(args.n)
     if args.equilateral:
-        polygon, spec = inscribe_equilateral(curve, n, tol=args.tol)
+        polygon, b = inscribe_equilateral(curve, n, tol=args.tol)
     else:
-        polygon, spec = inscribe_uniform(curve, n)
+        polygon, b = inscribe_uniform(curve, n)
     out_dir = _ensure_dir(args.out_dir)
     polygon.write_json(out_dir / "polygon.json")
-    spec.write_json(out_dir / "subdivision.json")
+    with open(out_dir / "subdivision.json", "w", encoding="utf-8") as fh:
+        json.dump({"b": b.tolist(), "chords": polygon.edge_lengths.tolist()}, fh, sort_keys=True)
+        fh.write("\n")
     _write_manifest(out_dir, "inscribe", args, unused=() if args.equilateral else ("tol",))
-    bounds = spec.chord_bounds()
+    c_min = n * float(polygon.edge_lengths.min()) / curve.length
+    c_max = n * float(polygon.edge_lengths.max()) / curve.length
     cert = polygon.equilaterality()
     print(
-        f"n={n} chords normalized to [{format_value(bounds.c_min)}, {format_value(bounds.c_max)}]"
+        f"n={n} chords normalized to [{format_value(c_min)}, {format_value(c_max)}]"
         f" edge deviation {cert.max_edge_deviation:.3e}"
     )
     return 0
@@ -223,7 +226,7 @@ def _study(args, kind: str, report, summary: str, seed=None, unused=()) -> int:
     """Write the study's artifacts and manifest and print ``summary``.
 
     Returns 0, or 3 with a message when the study has a smooth reference
-    energy and it did not converge.
+    energy and it did not converge, or when a row is flagged.
     """
     out_dir = _ensure_dir(args.out_dir)
     report.write_csv(out_dir / f"{kind}.csv")
@@ -232,11 +235,16 @@ def _study(args, kind: str, report, summary: str, seed=None, unused=()) -> int:
         report.write_plot_data(out_dir / f"{kind}.dat")
     _write_manifest(out_dir, f"study {kind}", args, seed=seed, unused=unused)
     print(summary)
-    if report.fields.get("reference_converged", True):
-        return 0
-    print("error: smooth quadrature of the reference energy did not converge "
-          "(reference_converged is false in the report)", file=sys.stderr)
-    return 3
+    if not report.fields.get("reference_converged", True):
+        print("error: smooth quadrature of the reference energy did not converge "
+              "(reference_converged is false in the report)", file=sys.stderr)
+        return 3
+    flagged = [str(row["n"]) for row in report.rows if row.get("flagged")]
+    if flagged:
+        print(f"error: no descent converged at n = {', '.join(flagged)} (flagged in the report)",
+              file=sys.stderr)
+        return 3
+    return 0
 
 
 def cmd_study_rate(args) -> int:

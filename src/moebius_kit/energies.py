@@ -8,8 +8,8 @@ n-gon value, and the smooth Moebius energy of an embedded arc-length curve
 computed by the periodic trapezoid rule on all node pairs, measured against
 the round circle of the same length.  Each pass visits every pair once.  A
 closed-form evaluation of the discrete energy for regular n-gons serves as
-an independent oracle, and sphere inversion is provided for invariance
-spot checks.
+an independent oracle, and sphere inversion of curves is provided for
+invariance spot checks of the smooth energy.
 """
 
 from __future__ import annotations
@@ -404,25 +404,16 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
 
 
 def moebius_inversion(obj, center, radius: float):
-    """Sphere inversion x -> center + radius^2 (x - center) / |x - center|^2.
+    """Sphere inversion x -> center + radius^2 (x - center) / |x - center|^2 of a curve.
 
-    Polygons map vertex-wise (which does not preserve the discrete energy;
-    use this for smooth-energy invariance checks).  Curves map pointwise
-    and come back as :class:`ParametricCurve` objects ready for a fresh
-    arc-length reparametrization.
+    Curves map pointwise and come back as :class:`ParametricCurve` objects
+    ready for a fresh arc-length reparametrization.  A polygon is an
+    :class:`InputError`: inverting its vertices does not preserve the
+    discrete energy.
     """
     if radius <= 0:
         raise InputError("inversion radius must be positive")
     c = np.asarray(center, dtype=float)
-
-    if isinstance(obj, ClosedPolygon):
-        if c.size != obj.dim:
-            raise InputError("center dimension does not match the polygon")
-        w = obj.vertices - c
-        rho2 = np.einsum("ij,ij->i", w, w)
-        if rho2.min() < (1e-6 * obj.total_length) ** 2:
-            raise InputError("inversion center lies on the polygon")
-        return ClosedPolygon(c + radius**2 * w / rho2[:, None])
 
     if isinstance(obj, ArcLengthCurve):
         L = obj.length

@@ -1,5 +1,8 @@
 """Inscribed polygons: uniform subdivisions, equilateral inscriptions, recovery sequences.
 
+Both inscriptions return the polygon and its n arc-length parameters b;
+the chords are the polygon's edge lengths.
+
 Equilateral inscription is one Newton solve for the vertices
 b_0 = 0 < b_1 < ... < b_{n-1} and the common chord length c together: the
 n chord equations, the closing one from b_{n-1} back to b_n = L included,
@@ -11,9 +14,6 @@ bound; an inscription that fails the certificate raises
 """
 
 from __future__ import annotations
-
-import json
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -28,71 +28,12 @@ _FLOOR_STEPS = 10   # steps in a row at the chords' roundoff floor before it giv
 _MIN_SLOPE = 1e-3   # floor of the Jacobian diagonal
 
 
-@dataclass(frozen=True)
-class ChordBoundReport:
-    """Normalized chord bounds n * min(chord) / L and n * max(chord) / L."""
-
-    c_min: float
-    c_max: float
-
-    @property
-    def ratio(self) -> float:
-        return self.c_max / self.c_min
-
-
-@dataclass(frozen=True)
-class SubdivisionSpec:
-    """Subdivision parameters b_1 < ... < b_n in [0, L) defining an inscribed polygon."""
-
-    curve: ArcLengthCurve
-    b: np.ndarray
-    chords: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.ndim != 1 or b.size < 3:
-            raise InputError("subdivision needs at least 3 parameters")
-        if np.any(np.diff(b) <= 0.0) or b[0] < 0.0 or b[-1] >= self.curve.length:
-            raise InputError("subdivision parameters must be strictly increasing in [0, L)")
-        if np.any(np.asarray(self.chords) <= 0.0):
-            raise InputError("all chords must be positive")
-
-    @property
-    def n(self) -> int:
-        return self.b.size
-
-    def chord_bounds(self) -> ChordBoundReport:
-        L = self.curve.length
-        return ChordBoundReport(
-            c_min=self.n * float(np.min(self.chords)) / L,
-            c_max=self.n * float(np.max(self.chords)) / L,
-        )
-
-    def to_dict(self) -> dict:
-        return {"b": self.b.tolist(), "chords": self.chords.tolist()}
-
-    def write_json(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
-
-
-def _spec_from_params(curve: ArcLengthCurve, b: np.ndarray) -> tuple[ClosedPolygon, SubdivisionSpec]:
-    pts = curve.eval(b)
-    closed = np.vstack([pts, pts[:1]])
-    chords = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    if np.any(chords == 0.0):
-        k = int(np.argmin(chords))
-        raise InputError(f"curve revisits a point: zero chord at subdivision index {k}")
-    return ClosedPolygon(pts), SubdivisionSpec(curve, b, chords)
-
-
-def inscribe_uniform(curve: ArcLengthCurve, n: int) -> tuple[ClosedPolygon, SubdivisionSpec]:
-    """Inscribed polygon with vertices at equally spaced arc-length parameters."""
+def inscribe_uniform(curve: ArcLengthCurve, n: int) -> tuple[ClosedPolygon, np.ndarray]:
+    """Inscribed polygon with vertices at equally spaced arc-length parameters b, and b."""
     if n < 3:
         raise InputError("need n >= 3")
     b = np.arange(n) * (curve.length / n)
-    return _spec_from_params(curve, b)
+    return ClosedPolygon(curve.eval(b)), b
 
 
 def _scan_bracket(curve: ArcLengthCurve, b: np.ndarray, pts: np.ndarray, c: float, cap: float,
@@ -121,8 +62,8 @@ def _scan_bracket(curve: ArcLengthCurve, b: np.ndarray, pts: np.ndarray, c: floa
 
 
 def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
-                         ) -> tuple[ClosedPolygon, SubdivisionSpec]:
-    """Inscribed polygon with n chords of a common length, b_1 = 0.
+                         ) -> tuple[ClosedPolygon, np.ndarray]:
+    """Inscribed polygon with n chords of a common length, and its parameters b, b_1 = 0.
 
     One Newton solve for b_1 < ... < b_{n-1} and the chord c of the n cyclic
     equations |gamma(b_{k+1}) - gamma(b_k)| = c, with b_0 = 0 and b_n = L,
@@ -218,7 +159,7 @@ def inscribe_equilateral(curve: ArcLengthCurve, n: int, tol: float = 1e-10
             raise ConvergenceError(
                 f"equilateral inscription for n={n} not certified after {newton} Newton steps: {reason}"
             )
-    return _spec_from_params(curve, b[:-1])
+    return ClosedPolygon(curve.eval(b[:-1])), b[:-1]
 
 
 def recovery_sequence(curve: ArcLengthCurve, n: int, tol: float = 1e-10) -> ClosedPolygon:

@@ -18,7 +18,6 @@ array.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -41,10 +40,6 @@ class EquilateralityCertificate:
 
     max_edge_deviation: float
     closure_residual: float
-
-    @property
-    def is_equilateral(self) -> bool:
-        return self.max_edge_deviation <= 1e-9
 
 
 class ClosedPolygon:
@@ -141,15 +136,6 @@ class ClosedPolygon:
     def read_json(cls, path) -> "ClosedPolygon":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
-
-    def write_csv(self, path) -> None:
-        """Rows (i, x, y, z, a_i); z = 0 for planar polygons."""
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["i", "x", "y", "z", "a"])
-            for i, (v, a) in enumerate(zip(self.vertices, self.arc_params)):
-                z = float(v[2]) if self.dim == 3 else 0.0
-                writer.writerow([i, repr(float(v[0])), repr(float(v[1])), repr(z), repr(float(a))])
 
 
 BLOCK_PAIRS = 1 << 16   # pair entries per row block of the chord kernel (512 KB of float64)

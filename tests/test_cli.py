@@ -162,7 +162,11 @@ def test_inscribe_writes_artifacts(circle_path, tmp_path, capsys):
     polygon = mk.ClosedPolygon.read_json(out / "polygon.json")
     assert polygon.equilaterality().max_edge_deviation <= 1e-9
     sub = json.loads((out / "subdivision.json").read_text())
+    assert set(sub) == {"b", "chords"}
     assert len(sub["b"]) == 64
+    # the chords are the polygon's edge lengths and b its parameters, bit for bit
+    assert np.array_equal(sub["chords"], polygon.edge_lengths)
+    assert np.array_equal(mk.load_curve(circle_path).eval(np.array(sub["b"])), polygon.vertices)
     manifest = json.loads((out / "run-manifest.json").read_text())
     assert manifest["command"] == "inscribe"
     assert manifest["versions"]["moebius_kit"] == mk.__version__
@@ -224,6 +228,21 @@ def test_minimize_iteration_budget_exits_3(tmp_path, capsys):
     assert "after 1 iterations (max_iterations)" in captured.out
     assert captured.err.startswith("error:")
     for name in ("trace.csv", "final-polygon.json", "run-manifest.json"):
+        assert (out / name).exists()
+
+
+def test_study_minimizers_all_flagged_exits_3(tmp_path, capsys):
+    # one iteration ends every descent at the budget, so every row is flagged
+    out = tmp_path / "run"
+    rc = main(["study", "minimizers", "--n", "4,8", "--seeds", "10", "--max-iter", "1",
+               "--out-dir", str(out)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n = 4, 8" in err
+    rows = (out / "minimizers.csv").read_text().splitlines()
+    flagged = rows[0].split(",").index("flagged")
+    assert [row.split(",")[flagged] for row in rows[1:]] == ["1", "1"]
+    for name in ("minimizers.json", "run-manifest.json"):
         assert (out / name).exists()
 
 

@@ -58,7 +58,7 @@ def step_bound(curve, c):
     return 1.25 * curve.bilipschitz * c
 
 
-def assert_certified(curve, spec, tol):
+def assert_certified(curve, polygon, b, tol):
     """Every one of the n steps, the closing one included, passes the certificate.
 
     Monotone b, every step in [c/4, cap], each vertex the first crossing of
@@ -67,7 +67,7 @@ def assert_certified(curve, spec, tol):
     tol of the solver's own.
     """
     L = curve.length
-    b, chords = spec.b, spec.chords
+    chords = polygon.edge_lengths
     c = float(chords.mean())
     cap = min(step_bound(curve, c), 0.5 * L)
     bb = np.append(b, L)
@@ -86,19 +86,20 @@ def assert_certified(curve, spec, tol):
 
 
 def test_uniform_circle_hexagon(circle_2pi):
-    polygon, spec = mk.inscribe_uniform(circle_2pi, 6)
-    assert np.allclose(spec.chords, 2.0 * math.sin(math.pi / 6), atol=1e-12)
-    bounds = spec.chord_bounds()
-    assert bounds.c_min == pytest.approx(bounds.c_max, rel=1e-12)
+    polygon, _ = mk.inscribe_uniform(circle_2pi, 6)
+    chords = polygon.edge_lengths
+    assert np.allclose(chords, 2.0 * math.sin(math.pi / 6), atol=1e-12)
+    assert chords.min() == pytest.approx(chords.max(), rel=1e-12)
     assert np.allclose(np.linalg.norm(polygon.vertices, axis=1), 1.0, atol=1e-10)
 
 
 def test_uniform_chord_bounds_against_bilipschitz(trefoil):
-    _, spec = mk.inscribe_uniform(trefoil, 64)
-    bounds = spec.chord_bounds()
-    assert bounds.c_max <= 1.0 + 1e-9                   # chords never beat arcs
-    assert bounds.c_min >= 1.0 / trefoil.bilipschitz    # arc <= C_b * chord
-    assert bounds.ratio <= trefoil.bilipschitz          # estimate already carries 5% headroom
+    polygon, _ = mk.inscribe_uniform(trefoil, 64)
+    chords = polygon.edge_lengths
+    normalized = 64 * chords / trefoil.length
+    assert normalized.max() <= 1.0 + 1e-9                       # chords never beat arcs
+    assert normalized.min() >= 1.0 / trefoil.bilipschitz        # arc <= C_b * chord
+    assert chords.max() / chords.min() <= trefoil.bilipschitz   # estimate already carries 5% headroom
     # dense chord scan: the normalized bounds hold on shifted subdivisions too
     for offset in (0.1, 0.5):
         b = (np.arange(64) * trefoil.length / 64 + offset) % trefoil.length
@@ -109,48 +110,48 @@ def test_uniform_chord_bounds_against_bilipschitz(trefoil):
 
 
 def test_equilateral_circle_octagon(circle_2pi):
-    polygon, spec = mk.inscribe_equilateral(circle_2pi, 8)
-    assert np.allclose(spec.chords, 2.0 * math.sin(math.pi / 8), atol=1e-9)
+    polygon, _ = mk.inscribe_equilateral(circle_2pi, 8)
+    assert np.allclose(polygon.edge_lengths, 2.0 * math.sin(math.pi / 8), atol=1e-9)
     assert polygon.equilaterality().max_edge_deviation <= 1e-9
 
 
 def test_equilateral_ellipse(ellipse_06):
-    polygon, spec = mk.inscribe_equilateral(ellipse_06, 64, tol=1e-10)
+    polygon, _ = mk.inscribe_equilateral(ellipse_06, 64, tol=1e-10)
     assert polygon.equilaterality().max_edge_deviation <= 1e-9
-    total = spec.chords.sum()
+    total = polygon.edge_lengths.sum()
     assert total <= ellipse_06.length
     # n * (L - total chord length) stays bounded as n grows
     slack = []
     for n in (64, 128, 256):
-        _, sp = mk.inscribe_equilateral(ellipse_06, n)
-        slack.append(n * (ellipse_06.length - sp.chords.sum()))
+        p, _ = mk.inscribe_equilateral(ellipse_06, n)
+        slack.append(n * (ellipse_06.length - p.edge_lengths.sum()))
     assert max(slack) <= 1.5 * slack[0]
 
 
 def test_equilateral_chord_decreases(trefoil):
-    _, spec16 = mk.inscribe_equilateral(trefoil, 16)
-    _, spec128 = mk.inscribe_equilateral(trefoil, 128)
-    assert spec128.chords.mean() < spec16.chords.mean()
+    p16, _ = mk.inscribe_equilateral(trefoil, 16)
+    p128, _ = mk.inscribe_equilateral(trefoil, 128)
+    assert p128.edge_lengths.mean() < p16.edge_lengths.mean()
 
 
 def test_equilateral_determinism(ellipse_06):
-    p1, s1 = mk.inscribe_equilateral(ellipse_06, 32)
-    p2, s2 = mk.inscribe_equilateral(ellipse_06, 32)
+    p1, b1 = mk.inscribe_equilateral(ellipse_06, 32)
+    p2, b2 = mk.inscribe_equilateral(ellipse_06, 32)
     assert np.array_equal(p1.vertices, p2.vertices)
-    assert np.array_equal(s1.b, s2.b)
+    assert np.array_equal(b1, b2)
 
 
 def test_vertices_lie_on_curve(trefoil):
-    polygon, spec = mk.inscribe_equilateral(trefoil, 48)
-    gap = np.linalg.norm(polygon.vertices - trefoil.eval(spec.b), axis=1)
+    polygon, b = mk.inscribe_equilateral(trefoil, 48)
+    gap = np.linalg.norm(polygon.vertices - trefoil.eval(b), axis=1)
     assert gap.max() <= 1e-10 * trefoil.length
 
 
 def test_chord_never_exceeds_arc(trefoil, ellipse_06):
     for curve in (trefoil, ellipse_06):
-        _, spec = mk.inscribe_equilateral(curve, 40)
-        arcs = np.diff(np.append(spec.b, spec.b[0] + curve.length))
-        assert np.all(spec.chords <= arcs + 1e-12 * curve.length)
+        polygon, b = mk.inscribe_equilateral(curve, 40)
+        arcs = np.diff(np.append(b, b[0] + curve.length))
+        assert np.all(polygon.edge_lengths <= arcs + 1e-12 * curve.length)
 
 
 def test_recovery_sequence_scaling(circle_1, trefoil):
@@ -179,17 +180,6 @@ def test_recovery_tangent_convergence(trefoil):
     assert dists[2] < dists[1] < dists[0]
 
 
-def test_subdivision_spec_serialization(tmp_path, circle_2pi):
-    _, spec = mk.inscribe_uniform(circle_2pi, 12)
-    path = tmp_path / "spec.json"
-    spec.write_json(path)
-    import json
-
-    data = json.loads(path.read_text())
-    assert set(data) == {"b", "chords"}
-    assert len(data["b"]) == 12
-
-
 def test_preconditions(circle_2pi):
     with pytest.raises(InputError):
         mk.inscribe_uniform(circle_2pi, 2)
@@ -207,11 +197,11 @@ def pentagon():
 def test_march_matches_scalar_reference(name, n, request):
     # marching vertex by vertex at the inscription's chord reproduces its vertices
     curve = request.getfixturevalue(name)
-    _, spec = mk.inscribe_equilateral(curve, n)
-    c = float(spec.chords.mean())
+    polygon, b = mk.inscribe_equilateral(curve, n)
+    c = float(polygon.edge_lengths.mean())
     reference = scalar_march(curve, n, c, step_bound(curve, c))
     assert len(reference) == n
-    assert np.max(np.abs(spec.b - reference)) <= 1e-12 * curve.length
+    assert np.max(np.abs(b - reference)) <= 1e-12 * curve.length
 
 
 @settings(deadline=None, max_examples=30)
@@ -219,8 +209,8 @@ def test_march_matches_scalar_reference(name, n, request):
        st.sampled_from([1e-12, 1e-10, 1e-6]))
 def test_march_prefix_is_certified(trefoil, ellipse_06, pentagon, name, n, tol):
     curve = {"ellipse_06": ellipse_06, "trefoil": trefoil, "pentagon": pentagon}[name]
-    _, spec = mk.inscribe_equilateral(curve, n, tol=tol)
-    assert_certified(curve, spec, tol)
+    polygon, b = mk.inscribe_equilateral(curve, n, tol=tol)
+    assert_certified(curve, polygon, b, tol)
 
 
 CATALOG = {
@@ -238,7 +228,7 @@ SMALL_N = range(3, 17)
 @pytest.fixture(scope="module")
 def small_n_sweep():
     """Each catalog curve inscribed at n = 3 ... 16, every call with warnings
-    raised as errors and under tracemalloc: {(name, n): (curve, spec or error, peak bytes)}."""
+    raised as errors and under tracemalloc: {(name, n): (curve, (polygon, b) or error, peak bytes)}."""
     out = {}
     for name, make in CATALOG.items():
         curve = make()
@@ -247,7 +237,7 @@ def small_n_sweep():
             try:
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    result = mk.inscribe_equilateral(curve, n)[1]
+                    result = mk.inscribe_equilateral(curve, n)
             except ConvergenceError as exc:
                 result = exc
             finally:
@@ -263,7 +253,7 @@ def test_small_n_inscriptions_certify_the_closing_chord(small_n_sweep, name):
     for n in SMALL_N:
         curve, result, _ = small_n_sweep[name, n]
         if not isinstance(result, ConvergenceError):
-            assert_certified(curve, result, 1e-10)
+            assert_certified(curve, *result, 1e-10)
 
 
 def test_small_n_inscriptions_that_fail_raise_in_bounded_memory(small_n_sweep):
@@ -277,8 +267,8 @@ def test_small_n_inscriptions_that_fail_raise_in_bounded_memory(small_n_sweep):
 def test_trefoil_hexagon_is_the_uniform_subdivision(trefoil):
     # the trefoil's symmetries map the uniform 6-gon's chords onto each other
     L = trefoil.length
-    _, spec = mk.inscribe_equilateral(trefoil, 6)
-    assert np.max(np.abs(spec.b - np.arange(6) * (L / 6))) <= 1e-12 * L
+    _, b = mk.inscribe_equilateral(trefoil, 6)
+    assert np.max(np.abs(b - np.arange(6) * (L / 6))) <= 1e-12 * L
 
 
 @pytest.mark.parametrize("n", [4096, 16384])

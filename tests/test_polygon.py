@@ -41,7 +41,6 @@ def test_regular_triangle_unit_edges():
 def test_regular_ngon_certificate(n):
     cert = mk.regular_ngon(n, 1.0).equilaterality()
     assert cert.max_edge_deviation <= 1e-12
-    assert cert.is_equilateral
 
 
 def test_regular_ngon_rejects_small_n():
@@ -274,17 +273,6 @@ def test_polygon_json_roundtrip(tmp_path):
     bad = dict(data, n=11)
     with pytest.raises(InputError):
         mk.ClosedPolygon.from_dict(bad)
-
-
-def test_polygon_csv(tmp_path):
-    p = mk.regular_ngon(5, 1.0)
-    path = tmp_path / "p.csv"
-    p.write_csv(path)
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "i,x,y,z,a"
-    assert len(rows) == 6
-    first = rows[1].split(",")
-    assert float(first[4]) == 0.0
 
 
 def test_curve_distance_identity(circle_1):

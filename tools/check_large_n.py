@@ -77,14 +77,14 @@ def main() -> int:
                                             mk.regular_ngon(N_MINDIST, float(N_MINDIST), dim=3))
     mindist_rel = abs(mindist.value) / mindist.diagnostics["potential"]
     trefoil = mk.arclength_reparametrize(mk.torus_knot(2, 3, 2.0, 1.0))
-    (polygon, spec), inscribe_mb, inscribe_s = traced(mk.inscribe_equilateral, trefoil, N)
+    (polygon, b), inscribe_mb, inscribe_s = traced(mk.inscribe_equilateral, trefoil, N)
     edge_dev = polygon.equilaterality().max_edge_deviation
     L = trefoil.length
-    c = float(spec.chords.mean())
+    c = float(polygon.edge_lengths.mean())
     cap = min(1.25 * trefoil.bilipschitz * c, 0.5 * L)
-    closing = L - spec.b[-1]
+    closing = L - b[-1]
     grid = np.arange(c, closing - 1e-13 * L, 0.25 * c)
-    below = np.linalg.norm(trefoil.eval(spec.b[-1] + grid) - polygon.vertices[-1], axis=1) < c
+    below = np.linalg.norm(trefoil.eval(b[-1] + grid) - polygon.vertices[-1], axis=1) < c
     regular = mk.regular_ngon(N, float(N), dim=3)
     step = STEP * np.random.default_rng(0).standard_normal((N, 3))
     retracted, retract_mb, retract_s = traced(mk.project_equilateral_closed, regular.vertices + step)
