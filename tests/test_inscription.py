@@ -180,6 +180,25 @@ def test_recovery_tangent_convergence(trefoil):
     assert dists[2] < dists[1] < dists[0]
 
 
+def test_subdivision_spec_serialization(tmp_path, capsys):
+    # the subdivision of a uniform inscription serializes as its parameters b and chords
+    import json
+
+    from moebius_kit.cli import main
+
+    curve = tmp_path / "circle.json"
+    curve.write_text(json.dumps({"kind": "circle", "params": {"radius": 1.0}}))
+    assert main(["inscribe", "--curve", str(curve), "--n", "12", "--out-dir", str(tmp_path)]) == 0
+    data = json.loads((tmp_path / "subdivision.json").read_text())
+    assert set(data) == {"b", "chords"}
+    assert len(data["b"]) == 12
+    _, b = mk.inscribe_uniform(mk.load_curve(str(curve)), 12)
+    assert np.array_equal(data["b"], b)
+    polygon = mk.ClosedPolygon.read_json(tmp_path / "polygon.json")
+    assert np.array_equal(data["chords"], polygon.edge_lengths)
+    capsys.readouterr()
+
+
 def test_preconditions(circle_2pi):
     with pytest.raises(InputError):
         mk.inscribe_uniform(circle_2pi, 2)
