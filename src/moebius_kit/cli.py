@@ -120,22 +120,19 @@ def _ensure_dir(path_str: str) -> Path:
 def _load_polygon(path: str) -> ClosedPolygon:
     try:
         return ClosedPolygon.read_json(path)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError, InputError) as exc:     # ValueError: bad JSON or not UTF-8
         raise InputError(f"cannot read polygon {path!r}: {exc}") from None
 
 
 def cmd_energy(args) -> int:
-    if args.kind == "smooth" and args.terms_csv:
-        raise InputError("--terms-csv needs --kind discrete or mindist; the smooth quadrature keeps no terms")
     if args.kind in ("discrete", "mindist"):
         if not args.polygon:
             raise InputError(f"--kind {args.kind} needs --polygon")
         polygon = _load_polygon(args.polygon)
-        keep = args.terms_csv is not None
         if args.kind == "discrete":
-            report = discrete_moebius_energy(polygon, scheme=args.scheme, keep_terms=keep)
+            report = discrete_moebius_energy(polygon, scheme=args.scheme)
         else:
-            report = minimum_distance_energy(polygon, keep_terms=keep)
+            report = minimum_distance_energy(polygon)
     else:
         if not args.curve:
             raise InputError("--kind smooth needs --curve")
@@ -146,8 +143,6 @@ def cmd_energy(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
             fh.write("\n")
-    if args.terms_csv:
-        report.terms_to_csv(args.terms_csv)
     if args.kind == "smooth" and not report.diagnostics["converged"]:
         print(f"error: smooth quadrature did not converge to tol {args.tol:g} "
               f"on {report.diagnostics['levels']} grids up to m = {report.diagnostics['grid']}",
@@ -295,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scheme", choices=("forward", "averaged"), default="forward")
     p.add_argument("--tol", type=float, default=1e-8, help="quadrature tolerance (smooth)")
     p.add_argument("--report", help="write the energy report JSON here")
-    p.add_argument("--terms-csv", help="write the per-pair term matrix CSV here")
     p.set_defaults(func=cmd_energy)
 
     p = sub.add_parser("inscribe", help="inscribe a polygon in a curve")

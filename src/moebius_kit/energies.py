@@ -6,10 +6,12 @@ over vertex pairs with edge-length weights), the minimum distance energy
 over non-adjacent segment pairs, measured against the closed-form regular
 n-gon value, and the smooth Moebius energy of an embedded arc-length curve
 computed by the periodic trapezoid rule on all node pairs, measured against
-the round circle of the same length.  Each pass visits every pair once.  A
-closed-form evaluation of the discrete energy for regular n-gons serves as
-an independent oracle, and sphere inversion of curves is provided for
-invariance spot checks of the smooth energy.
+the round circle of the same length.  Each pass visits every pair once and
+keeps no per-pair terms: a report holds each energy as one number, and
+memory stays O(n) beyond one block of pairs.  A closed-form evaluation of
+the discrete energy for regular n-gons serves as an independent oracle,
+and sphere inversion of arc-length curves is provided for invariance spot
+checks of the smooth energy.
 """
 
 from __future__ import annotations
@@ -29,19 +31,15 @@ from .polygon import BLOCK_PAIRS, ClosedPolygon, chord_length_regular, inverse_s
 class EnergyReport:
     """Energy value with summation metadata and diagnostics.
 
-    When the per-pair term matrix is retained, re-summing it row-major with
-    compensated accumulation reproduces ``value``: to 1e-12 relative for
-    the discrete energy, whose terms are all >= 0, and to 1e-12 times
-    ``diagnostics["potential"]`` for the minimum distance energy, whose
-    value is the potential minus its regular n-gon reference, each a
-    compensated sum of per-separation sums, and is roundoff-sized near the
-    regular n-gon.
+    ``value`` is the energy itself, a single number: no per-pair terms
+    are kept.  ``term_count`` counts the pairs (or, for the smooth energy,
+    the quadrature evaluations) that went into it, and ``to_dict`` writes
+    it as ``"terms"``.
     """
 
     value: float
     term_count: int
     scheme: str
-    terms: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -52,17 +50,8 @@ class EnergyReport:
             "diagnostics": self.diagnostics,
         }
 
-    def terms_to_csv(self, path) -> None:
-        if self.terms is None:
-            raise InputError("term matrix was not retained for this report")
-        rows = (f"{i},{j},{term!r}\n"
-                for i, row in enumerate(self.terms.tolist()) for j, term in enumerate(row))
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("".join(["i,j,term\n", *rows]))
 
-
-def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward",
-                            keep_terms: bool = False) -> EnergyReport:
+def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> EnergyReport:
     """Discrete Moebius energy of a closed polygon.
 
     Sums, over ordered vertex pairs i != j, the terms w_i w_j (Q_ij - D_ij)
@@ -73,8 +62,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward",
     symmetric, so they are built on the strict upper triangle only, one
     trapezoid block of :func:`polygon.inverse_square_chord_blocks` at a
     time; each block is summed, and ``value`` is twice the compensated
-    sum of the block sums.  The (n, n) term matrix, both triangles, exists
-    only under ``keep_terms``.  Nearly coincident vertices raise
+    sum of the block sums.  Nearly coincident vertices raise
     :class:`DoublePointError` (the energy is infinite there).
 
     The ``"forward"`` scheme weights a vertex by its outgoing edge length,
@@ -87,7 +75,6 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward",
     forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
     w = forward if scheme == "forward" else 0.5 * (np.roll(forward, 1) + forward)
 
-    terms = np.zeros((n, n)) if keep_terms else None
     sums, smallest_chord, largest_term = [], math.inf, 0.0
     # each block holds Q[r0:r1, r0:] and is turned into the terms in place
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
@@ -108,15 +95,10 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward",
         sums.append(float(block.sum()))
         smallest_chord = min(smallest_chord, smallest)
         largest_term = max(largest_term, float(block.max()), -float(block.min()))
-        if keep_terms:
-            terms[rows, r0:] = block
-    if keep_terms:
-        terms += terms.T    # Q, D and w_i w_j are bitwise symmetric, and so are the terms
     return EnergyReport(
         value=2.0 * math.fsum(sums),
         term_count=n * (n - 1),
         scheme=scheme,
-        terms=terms,
         diagnostics={
             "smallest_chord": smallest_chord,
             "largest_term": largest_term,
@@ -246,7 +228,7 @@ def _doubled_windows(x: np.ndarray) -> np.ndarray:
     return sliding_window_view(np.concatenate([x, x], axis=-1), x.shape[-1], axis=-1)
 
 
-def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> EnergyReport:
+def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     """Minimum distance energy: segment-pair potential minus its regular n-gon value.
 
     The potential sums |X_i||X_j| / dist(X_i, X_j)^2 over ordered segment
@@ -265,11 +247,11 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
     symmetric in k and n - k, and its potential is n sum_k ref_k.  The
     ordered pair (i, j) carries the excess term - ref[(j - i) mod n];
     ``value`` is the compensated sum of the per-separation potentials
-    minus the reference's, and the (n, n) excess matrix is built only
-    under ``keep_terms``.  For n = 3 every pair is adjacent and the sum is
-    vacuous (value 0, flagged).  Pairs closer than 1e-12 L raise
-    :class:`DoublePointError` naming the smallest such (i, j), i < j, in
-    row-major order, the chord kernel's rule.
+    minus the reference's, and ``largest_term`` is the largest |excess|.
+    For n = 3 every pair is adjacent and the sum is vacuous (value 0,
+    flagged).  Pairs closer than 1e-12 L raise :class:`DoublePointError`
+    naming the smallest such (i, j), i < j, in row-major order, the chord
+    kernel's rule.
     """
     n, L, ell = p.n, p.total_length, p.edge_lengths
     V = p.vertices.T
@@ -280,7 +262,6 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
     ref = np.zeros(n)
     ref[sep] = (math.sin(math.pi / n) / np.sin((np.minimum(sep, n - sep) - 1) * (math.pi / n))) ** 2
 
-    terms = np.zeros((n, n)) if keep_terms else None
     sums = np.zeros((2, n // 2 + 1))    # per separation: potential, max |excess|
     dim, thr2 = V.shape[0], (1e-12 * L) ** 2
     smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
@@ -305,10 +286,6 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
         # rounding is monotone, so max |vals - c| = max(max vals - c, c - min vals), bitwise
         sums[:, k] = (np.where(2 * k == n, 1.0, 2.0) * vals.sum(axis=1),
                       np.maximum(vals.max(axis=1) - ref[k], ref[k] - vals.min(axis=1)))
-        if keep_terms:
-            i = np.arange(n)
-            j = (i + k[:, None]) % n
-            terms[i, j] = terms[j, i] = vals - ref[k, None]
     if pair < n * n:
         pair = divmod(pair, n)
         raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
@@ -326,7 +303,6 @@ def minimum_distance_energy(p: ClosedPolygon, keep_terms: bool = False) -> Energ
         value=potential - regular,
         term_count=n * (n - 3),
         scheme="mindist",
-        terms=terms,
         diagnostics=diag,
     )
 
@@ -398,38 +374,26 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
         value=estimates[-1],
         term_count=evaluations,
         scheme="quadrature",
-        terms=None,
         diagnostics=diag,
     )
 
 
 def moebius_inversion(obj, center, radius: float):
-    """Sphere inversion x -> center + radius^2 (x - center) / |x - center|^2 of a curve.
+    """Sphere inversion x -> center + radius^2 (x - center) / |x - center|^2 of an arc-length curve.
 
-    Curves map pointwise and come back as :class:`ParametricCurve` objects
-    ready for a fresh arc-length reparametrization.  A polygon is an
-    :class:`InputError`: inverting its vertices does not preserve the
-    discrete energy.
+    The curve maps pointwise and comes back as a :class:`ParametricCurve`
+    on [0, 1), ready for a fresh arc-length reparametrization.  Anything
+    else, a polygon included, is an :class:`InputError`: inverting a
+    polygon's vertices does not preserve the discrete energy.
     """
     if radius <= 0:
         raise InputError("inversion radius must be positive")
-    c = np.asarray(center, dtype=float)
-
-    if isinstance(obj, ArcLengthCurve):
-        L = obj.length
-        base_point = lambda u: obj.eval(np.asarray(u) * L)
-        base_vel = lambda u: obj.tangent(np.asarray(u) * L) * L
-        kind = obj.kind
-        params = dict(obj.source.params)
-        dim = obj.dim
-    elif isinstance(obj, ParametricCurve):
-        base_point = obj
-        base_vel = obj.velocity
-        kind = obj.kind
-        params = dict(obj.params)
-        dim = obj.dim
-    else:
+    if not isinstance(obj, ArcLengthCurve):
         raise InputError(f"cannot invert {type(obj).__name__}")
+    c = np.asarray(center, dtype=float)
+    L, dim = obj.length, obj.dim
+    base_point = lambda u: obj.eval(np.asarray(u) * L)
+    base_vel = lambda u: obj.tangent(np.asarray(u) * L) * L
 
     if c.size != dim:
         raise InputError("center dimension does not match the curve")
@@ -455,8 +419,8 @@ def moebius_inversion(obj, center, radius: float):
 
     return ParametricCurve(
         point,
-        f"inversion({kind})",
-        {"center": c.tolist(), "radius": radius, "source_params": params},
+        f"inversion({obj.kind})",
+        {"center": c.tolist(), "radius": radius, "source_params": dict(obj.source.params)},
         dim,
         deriv,
     )

@@ -52,7 +52,10 @@ class ClosedPolygon:
     """
 
     def __init__(self, vertices):
-        v = np.array(vertices, dtype=float)
+        try:
+            v = np.array(vertices, dtype=float)
+        except (TypeError, ValueError) as exc:     # non-numeric or ragged vertex lists
+            raise InputError(f"vertices must be an array of numbers: {exc}") from None
         if v.ndim != 2 or v.shape[1] not in (2, 3):
             raise InputError("vertices must be an (n, 2) or (n, 3) array")
         if v.shape[0] < 3:
@@ -121,10 +124,11 @@ class ClosedPolygon:
             poly = cls(data["vertices"])
         except KeyError as exc:
             raise InputError(f"polygon JSON missing field {exc}") from None
-        if "n" in data and int(data["n"]) != poly.n:
-            raise InputError(f"polygon JSON claims n={data['n']} but has {poly.n} vertices")
-        if "dim" in data and int(data["dim"]) != poly.dim:
-            raise InputError(f"polygon JSON claims dim={data['dim']} but vertices are {poly.dim}-d")
+        # compared as given: n = 3.7 or "three" is no vertex count
+        if "n" in data and data["n"] != poly.n:
+            raise InputError(f"polygon JSON claims n={data['n']!r} but has {poly.n} vertices")
+        if "dim" in data and data["dim"] != poly.dim:
+            raise InputError(f"polygon JSON claims dim={data['dim']!r} but vertices are {poly.dim}-d")
         return poly
 
     def write_json(self, path) -> None:

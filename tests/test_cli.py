@@ -55,23 +55,17 @@ def test_format_value_12_significant_digits():
     assert "e" in format_value(1.5e15)
 
 
-def test_energy_discrete(square_path, capsys, tmp_path):
-    terms = tmp_path / "terms.csv"
-    rc = main(["energy", "--polygon", square_path, "--kind", "discrete",
-               "--terms-csv", str(terms)])
+def test_energy_discrete(square_path, capsys):
+    rc = main(["energy", "--polygon", square_path, "--kind", "discrete"])
     assert rc == 0
     out = capsys.readouterr().out.strip()
     assert float(out) == pytest.approx(1.0, abs=1e-12)
-    assert len(terms.read_text().strip().splitlines()) == 1 + 16
 
 
-def test_energy_mindist(square_path, capsys, tmp_path):
-    terms = tmp_path / "terms.csv"
-    rc = main(["energy", "--polygon", square_path, "--kind", "mindist",
-               "--terms-csv", str(terms)])
+def test_energy_mindist(square_path, capsys):
+    rc = main(["energy", "--polygon", square_path, "--kind", "mindist"])
     assert rc == 0
     assert float(capsys.readouterr().out.strip()) == pytest.approx(0.0, abs=1e-12)
-    assert len(terms.read_text().strip().splitlines()) == 1 + 16
 
 
 def test_energy_smooth(circle_path, capsys, tmp_path):
@@ -121,15 +115,45 @@ def test_study_with_converged_reference_says_so(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-def test_energy_smooth_rejects_terms_csv_before_any_work(circle_path, capsys, tmp_path):
-    terms, report_path = tmp_path / "terms.csv", tmp_path / "report.json"
-    rc = main(["energy", "--curve", circle_path, "--kind", "smooth",
-               "--terms-csv", str(terms), "--report", str(report_path)])
-    assert rc == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "--terms-csv" in captured.err
-    assert [path.name for path in tmp_path.iterdir()] == ["circle.json"]   # the input alone
+def test_energy_rejects_terms_csv(square_path, circle_path, capsys, tmp_path):
+    # the energies keep no per-pair terms, so --terms-csv is an unknown flag under every kind
+    inputs = {"discrete": ["--polygon", square_path], "mindist": ["--polygon", square_path],
+              "smooth": ["--curve", circle_path]}
+    for kind, source in inputs.items():
+        with pytest.raises(SystemExit) as exc:
+            main(["energy", "--kind", kind, *source, "--terms-csv", str(tmp_path / "terms.csv"),
+                  "--report", str(tmp_path / "report.json")])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --terms-csv" in captured.err
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["circle.json", "square.json"]
+
+
+def test_malformed_polygon_json_exits_1(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    documents = [json.dumps(document).encode() for document in (
+        {"vertices": [["a", "b"], [1, 0], [0, 1]]},             # not numbers
+        {"vertices": [[0, 0], [1, 0, 2], [0, 1]]},              # ragged
+        {"n": "three", "vertices": [[0, 0], [1, 0], [0, 1]]},
+        {"n": 3.7, "vertices": [[0, 0], [1, 0], [0, 1]]},
+    )] + [b"\xff\xfe{"]                                        # not UTF-8
+    commands = (["energy", "--kind", "discrete"], ["energy", "--kind", "mindist"],
+                ["minimize", "--out-dir", str(tmp_path / "run")])
+    for document in documents:
+        path.write_bytes(document)
+        for command in commands:
+            assert main([*command, "--polygon", str(path)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: cannot read polygon {str(path)!r}: ")
+    assert not (tmp_path / "run").exists()
+    # in a fresh process too: one error line, no traceback
+    proc = subprocess.run([sys.executable, "-m", "moebius_kit.cli", "energy", "--kind", "discrete",
+                           "--polygon", str(path)], capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: cannot read polygon ")
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_energy_exit_codes(tmp_path, square_path, capsys):

@@ -17,6 +17,34 @@ def rotation_3d(angle, axis):
     return np.eye(3) + math.sin(angle) * K + (1 - math.cos(angle)) * (K @ K)
 
 
+def discrete_energy_reference(vertices, scheme="forward"):
+    """E_n and its ordered-pair terms, written from the definition apart from the library.
+
+    The term of i != j is w_i w_j (1/|v_i - v_j|^2 - 1/d(a_i, a_j)^2); a
+    consecutive pair contributes exactly 0 (its chord is the arc) and is
+    left out.  Each row is summed with ``math.fsum``, and so are the rows.
+    """
+    v = [[float(x) for x in vertex] for vertex in vertices]
+    n = len(v)
+    ell = [math.dist(v[(i + 1) % n], v[i]) for i in range(n)]
+    L = math.fsum(ell)
+    a = [math.fsum(ell[:i]) for i in range(n)]
+    w = [min(length, L - length) for length in ell]
+    if scheme == "averaged":
+        w = [0.5 * (w[i - 1] + w[i]) for i in range(n)]
+    rows, terms = [], []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if min((j - i) % n, (i - j) % n) < 2:
+                continue
+            arc = min(abs(a[j] - a[i]), L - abs(a[j] - a[i]))
+            row.append(w[i] * w[j] * (1.0 / math.dist(v[i], v[j]) ** 2 - 1.0 / arc**2))
+        rows.append(math.fsum(row))
+        terms.extend(row)
+    return math.fsum(rows), terms
+
+
 class TestDiscreteEnergy:
     def test_any_triangle_is_zero(self):
         tri = mk.ClosedPolygon([[0.0, 0.0], [1.1, 0.2], [0.3, 0.9]])
@@ -40,12 +68,17 @@ class TestDiscreteEnergy:
 
     def test_report_resummation_and_nonnegativity(self):
         p = mk.random_equilateral_polygon(17, dim=3, seed=3)
-        rep = mk.discrete_moebius_energy(p, keep_terms=True)
-        resum = math.fsum(rep.terms.ravel())
-        assert rep.value == pytest.approx(resum, rel=1e-12)
-        assert rep.term_count == 17 * 16
-        assert rep.terms.min() >= -1e-15 * np.abs(rep.terms).max()
-        assert rep.diagnostics["smallest_chord"] > 0
+        # the weight schemes differ only off the equilateral class
+        moved = mk.ClosedPolygon(p.vertices + 0.05 * np.random.default_rng(3).standard_normal((17, 3)))
+        for polygon in (p, moved):
+            for scheme in ("forward", "averaged"):
+                rep = mk.discrete_moebius_energy(polygon, scheme=scheme)
+                value, terms = discrete_energy_reference(polygon.vertices, scheme)
+                assert rep.value == pytest.approx(value, rel=1e-12)
+                assert rep.diagnostics["largest_term"] == pytest.approx(max(map(abs, terms)), rel=1e-12)
+                assert rep.term_count == 17 * 16
+                assert min(terms) >= -1e-15 * max(map(abs, terms))
+                assert rep.diagnostics["smallest_chord"] > 0
 
     def test_weight_schemes_agree_on_equilateral(self):
         sq = mk.ClosedPolygon([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -255,7 +288,7 @@ class TestMinimumDistanceEnergy:
         angles = 2 * math.pi * np.arange(n) / n
         regular = radius * np.stack([np.cos(angles), np.sin(angles)], axis=1)
         raw, ref = pair_terms(p.vertices), pair_terms(regular)
-        rep = mk.minimum_distance_energy(p, keep_terms=True)
+        rep = mk.minimum_distance_energy(p)
         assert rep.diagnostics["potential"] == pytest.approx(math.fsum(raw.values()), rel=1e-12)
         assert rep.diagnostics["regular_ngon_potential"] == pytest.approx(
             math.fsum(ref.values()), rel=1e-12
@@ -264,10 +297,9 @@ class TestMinimumDistanceEnergy:
             math.fsum(raw.values()) - math.fsum(ref.values()), rel=1e-12
         )
         assert rep.term_count == len(raw)
-        for i in range(n):
-            for j in range(n):
-                excess = raw[i, j] - ref[i, j] if (i, j) in raw else 0.0
-                assert rep.terms[i, j] == pytest.approx(excess, rel=1e-12)
+        assert rep.diagnostics["largest_term"] == pytest.approx(
+            max(abs(raw[pair] - ref[pair]) for pair in raw), rel=1e-12
+        )
 
     @pytest.mark.parametrize("n", [4, 5, 9, 10])
     def test_random_polygon_against_brute_force(self, n):
@@ -283,10 +315,8 @@ class TestMinimumDistanceEnergy:
         shift = 0.02 * radius * np.random.default_rng(n).uniform(-1.0, 1.0, (n, 2))
         self.check_against_brute_force(mk.ClosedPolygon(g.vertices + shift))
 
-    def test_term_matrix_resums_to_value(self):
-        rect = mk.ClosedPolygon([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]])
-        rep = mk.minimum_distance_energy(rect, keep_terms=True)
-        assert rep.value == pytest.approx(math.fsum(rep.terms.ravel()), rel=1e-12)
+    def test_rectangle_against_brute_force(self):
+        self.check_against_brute_force(mk.ClosedPolygon([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]]))
 
     def test_intersecting_segments_rejected(self):
         bowtie = mk.ClosedPolygon([[0, 0], [1, 1], [1, 0], [0, 1]])
@@ -317,12 +347,11 @@ class TestMinimumDistanceEnergy:
     def test_separation_batches_do_not_change_results(self, monkeypatch, n, block_pairs):
         # one separation per batch, or three with a ragged last batch
         p = mk.random_equilateral_polygon(n, dim=3, seed=8)
-        whole = mk.minimum_distance_energy(p, keep_terms=True)
+        whole = mk.minimum_distance_energy(p)
         monkeypatch.setattr(energies, "BLOCK_PAIRS", block_pairs)
-        rep = mk.minimum_distance_energy(p, keep_terms=True)
+        rep = mk.minimum_distance_energy(p)
         assert rep.value == whole.value
         assert rep.diagnostics == whole.diagnostics
-        assert np.array_equal(rep.terms, whole.terms)
 
     @pytest.mark.parametrize("n, seed", [(64, 0), (64, 1), (64, 2), (256, 258)])
     def test_crossing_polygon_reports_smallest_pair(self, n, seed):
@@ -550,6 +579,11 @@ class TestMoebiusInversion:
         with pytest.raises(InputError, match="cannot invert ClosedPolygon"):
             mk.moebius_inversion(p, (5.0, 1.0, -2.0), 2.0)
 
+    def test_parametric_curve_rejected(self):
+        # only arc-length curves are inverted; reparametrize a raw curve first
+        with pytest.raises(InputError, match="cannot invert ParametricCurve"):
+            mk.moebius_inversion(mk.ellipse(1.0, 0.6), (3.0, 0.0), 1.0)
+
     def test_center_on_curve_rejected(self, circle_2pi):
         with pytest.raises(InputError):
             mk.moebius_inversion(circle_2pi, center=(1.0, 0.0), radius=1.0)
@@ -604,6 +638,21 @@ class TestMinimalitySample:
                 p = mk.random_equilateral_polygon(n, dim=3, seed=seed)
                 assert mk.discrete_moebius_energy(p).value >= floor - 1e-9
 
+    def test_claim_needs_the_equilateral_class(self):
+        # the unit triangle with each corner cut by a short edge: edges
+        # (0.01, 0.98) x 3.  Off the equilateral class E_6 falls far below
+        # the regular hexagon's 11/6, under either weight scheme
+        eps = 1e-2
+        corners = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, math.sqrt(3.0) / 2.0]])
+        cut = [x for a, b in zip(corners, np.roll(corners, -1, axis=0))
+               for x in (a + eps * (b - a), b - eps * (b - a))]
+        p = mk.ClosedPolygon(cut)
+        np.testing.assert_allclose(p.edge_lengths, [0.98, 0.01] * 3, rtol=1e-12)
+        for scheme, value in (("forward", 0.0606), ("averaged", 0.0601)):
+            energy = mk.discrete_moebius_energy(p, scheme=scheme).value
+            assert energy == pytest.approx(value, abs=1e-4)
+            assert energy < mk.regular_ngon_energy(6)
+
 
 # (n, dim, seed) of a random equilateral polygon
 random_polygons = st.tuples(st.integers(3, 32), st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -646,8 +695,13 @@ class TestInvarianceProperties:
     @settings(deadline=None)
     @given(random_polygons)
     def test_pair_terms_nonnegative(self, spec):
-        terms = mk.discrete_moebius_energy(mk.random_equilateral_polygon(*spec), keep_terms=True).terms
-        assert terms.min() >= -1e-14 * max(1.0, terms.max())
+        p = mk.random_equilateral_polygon(*spec)
+        rep = mk.discrete_moebius_energy(p)
+        value, terms = discrete_energy_reference(p.vertices)
+        largest = max(map(abs, terms), default=0.0)
+        assert rep.value == pytest.approx(value, rel=1e-12)
+        assert rep.diagnostics["largest_term"] == pytest.approx(largest, rel=1e-12)
+        assert min(terms, default=0.0) >= -1e-14 * max(1.0, largest)
 
     @settings(deadline=None)
     @given(random_polygons)
@@ -656,31 +710,9 @@ class TestInvarianceProperties:
         assert _energy(mk.random_equilateral_polygon(*spec).vertices) >= mk.regular_ngon_energy(n) - 1e-9
 
 
-def terms_csv_by_rows(terms) -> str:
-    """The terms CSV written one formatted row at a time, as a reference."""
-    out = ["i,j,term\n"]
-    n, m = terms.shape
-    for i in range(n):
-        for j in range(m):
-            out.append(f"{i},{j},{float(terms[i, j])!r}\n")
-    return "".join(out)
-
-
-@pytest.mark.parametrize("energy", [mk.discrete_moebius_energy, mk.minimum_distance_energy])
-def test_terms_csv_matches_row_by_row_writer(tmp_path, energy):
-    rep = energy(mk.random_equilateral_polygon(37, dim=3, seed=37), keep_terms=True)
-    path = tmp_path / "terms.csv"
-    rep.terms_to_csv(path)
-    assert path.read_bytes() == terms_csv_by_rows(rep.terms).encode("utf-8")
-
-
-def test_report_serialization(tmp_path):
-    rep = mk.discrete_moebius_energy(mk.regular_ngon(5, 1.0), keep_terms=True)
+def test_report_serialization():
+    rep = mk.discrete_moebius_energy(mk.regular_ngon(5, 1.0))
     data = rep.to_dict()
     assert set(data) == {"value", "terms", "scheme", "diagnostics"}
     assert data["scheme"] == "forward"
-    path = tmp_path / "terms.csv"
-    rep.terms_to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "i,j,term"
-    assert len(lines) == 1 + 25
+    assert data["terms"] == 5 * 4     # the pair count

@@ -111,14 +111,13 @@ def test_row_blocks_do_not_change_results(monkeypatch, rows):
     p = mk.random_equilateral_polygon(64, dim=3, seed=6)
     n = p.n
     monkeypatch.setattr(polygon, "BLOCK_PAIRS", n * n)
-    whole = mk.discrete_moebius_energy(p, keep_terms=True)
+    whole = mk.discrete_moebius_energy(p)
     whole_grad = mk.energy_gradient(p)
     # one row per block, or 7 rows per block with a last block of 1
     monkeypatch.setattr(polygon, "BLOCK_PAIRS", {"one": 1, "ragged": 7 * n + 3}[rows])
-    rep = mk.discrete_moebius_energy(p, keep_terms=True)
+    rep = mk.discrete_moebius_energy(p)
     grad = mk.energy_gradient(p)
     assert rep.value == pytest.approx(whole.value, rel=1e-15, abs=0.0)
-    assert np.array_equal(rep.terms, whole.terms)
     assert rep.diagnostics == whole.diagnostics
     assert np.abs(grad - whole_grad).max() <= 1e-15 * np.abs(whole_grad).max()
 

@@ -275,6 +275,29 @@ def test_polygon_json_roundtrip(tmp_path):
         mk.ClosedPolygon.from_dict(bad)
 
 
+@pytest.mark.parametrize("vertices", [
+    [["a", "b"], [1, 0], [0, 1]],
+    [[0, 0], [1, 0, 2], [0, 1]],
+    [[0, 0], [1, 0], {"x": 0}],
+], ids=["strings", "ragged", "mapping"])
+def test_non_numeric_vertices_rejected(vertices):
+    with pytest.raises(InputError, match="vertices must be an array of numbers"):
+        mk.ClosedPolygon(vertices)
+
+
+@pytest.mark.parametrize("field, claim", [("n", "three"), ("n", 3.7), ("n", "3"), ("dim", 2.5), ("dim", "2")])
+def test_polygon_json_claims_compared_as_given(field, claim):
+    # a count that is no integer, or is a string, never matches the vertices
+    data = {"vertices": [[0, 0], [1, 0], [0, 1]], field: claim}
+    with pytest.raises(InputError, match=f"claims {field}="):
+        mk.ClosedPolygon.from_dict(data)
+
+
+def test_polygon_json_integral_float_claims_accepted():
+    p = mk.ClosedPolygon.from_dict({"n": 3.0, "dim": 2.0, "vertices": [[0, 0], [1, 0], [0, 1]]})
+    assert (p.n, p.dim) == (3, 2)
+
+
 def test_curve_distance_identity(circle_1):
     for norm, q in (("Lq", 1), ("Lq", 2), ("Lq", math.inf), ("W1q", 2), ("W1q", math.inf)):
         assert mk.curve_distance(circle_1, circle_1, norm=norm, q=q) == 0.0
