@@ -426,8 +426,8 @@ def bilipschitz_estimate(curve: ArcLengthCurve) -> float:
     largest = 0.0
     try:
         for r0, Q, _ in inverse_square_chord_blocks(ClosedPolygon(pts), 1e-9 * L):
-            d = intrinsic_distance(L, s[r0:r0 + Q.shape[0], None], s[None, r0:])
-            largest = max(largest, float((np.square(d, out=d) * Q).max()))
+            d = s[None, r0:] - s[r0:r0 + Q.shape[0], None]     # s_j - s_i, >= 0 where Q > 0
+            largest = max(largest, float((np.square(np.minimum(d, L - d, out=d), out=d) * Q).max()))
     except (DoublePointError, InputError):      # InputError: consecutive samples coincide
         raise NotEmbeddedError("curve not embedded at sampled resolution: two samples coincide") from None
     return 1.05 * math.sqrt(largest)

@@ -59,11 +59,15 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
     inverse-square intrinsic distance d(a_i, a_j) of the arc parameters,
     both zero on the diagonal and on consecutive pairs (there chord and
     arc distance are the same edge, so the term vanishes).  The terms are
-    symmetric, so they are built on the strict upper triangle only, one
-    trapezoid block of :func:`polygon.inverse_square_chord_blocks` at a
-    time; each block is summed, and ``value`` is twice the compensated
-    sum of the block sums.  Nearly coincident vertices raise
-    :class:`DoublePointError` (the energy is infinite there).
+    symmetric, so they are built pair by pair on the strict upper triangle
+    only, one trapezoid block of :func:`polygon.inverse_square_chord_blocks`
+    at a time; ``value`` is twice the compensated sum of the blocks'
+    weighted row sums.  Nearly coincident vertices raise
+    :class:`DoublePointError` (the energy is infinite there).  Up to a
+    ``max_edge_deviation`` of 1e-8, D is 1 / (c min(k, n - k))^2 at
+    k = j - i, c = L / n, a Toeplitz view of one row, but for the kinked
+    ties (i, i + n/2) of even n: to second order in the deviation, the
+    same (PAPER.md).  ``diagnostics["arc"]`` is "separation" or "parameters".
 
     The ``"forward"`` scheme weights a vertex by its outgoing edge length,
     ``"averaged"`` by the mean of its two incident edge lengths; both
@@ -74,27 +78,31 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
     n, L, a = p.n, p.total_length, p.arc_params
     forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
     w = forward if scheme == "forward" else 0.5 * (np.roll(forward, 1) + forward)
+    arc = "separation" if p.equilaterality().max_edge_deviation <= 1e-8 else "parameters"
+    tie = n // 2 * (1 - n % 2)      # even n: the pairs (i, i + n/2), where d has a kink, keep d(a_i, a_j)
+    sep, k = np.zeros(2 * n), np.arange(2, n - 1)   # sep[n + k] = 1 / (c min(k, n - k))^2, else 0
+    sep[n + 2:2 * n - 1] = np.reciprocal(np.square((L / n) * np.minimum(k, n - k))) * (k != tie)
+    d = a[n - tie:] - a[:tie]
+    tie_D = np.reciprocal(np.square(np.minimum(d, L - d)))
 
     sums, smallest_chord, largest_term = [], math.inf, 0.0
     # each block holds Q[r0:r1, r0:] and is turned into the terms in place
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
-        i = np.arange(block.shape[0])
-        rows = slice(r0, r0 + i.size)
-        D = np.subtract(a[r0:], a[rows, None])                  # a_j - a_i >= 0 for j > i
-        np.minimum(D, L - D, out=D)                             # d(a_i, a_j)
-        D[:, :i.size][np.tri(i.size, dtype=bool)] = np.inf     # j <= i
-        D = np.reciprocal(np.square(D, out=D), out=D)
-        D[i, i + 1] = 0.0
-        if r0 == 0:
-            D[0, n - 1] = 0.0
+        rows = slice(r0, r0 + block.shape[0])
+        if arc == "separation":     # D[i, j] = sep[n + j - i], a Toeplitz view; the ties on a diagonal
+            D = np.ndarray(block.shape, buffer=sep, offset=8 * n, strides=(-8, 8))      # float64
+            block.reshape(-1)[tie::block.shape[1] + 1][:tie_D[rows].size] -= tie_D[rows]
+        else:                       # Q is 0 exactly where D is: j <= i and consecutive pairs
+            D = np.subtract(a[r0:], a[rows, None])              # a_j - a_i
+            np.minimum(D, L - D, out=D)                         # d(a_i, a_j) for j > i
+            D = np.divide(1.0, np.square(D, out=D), out=np.zeros_like(D), where=block > 0)
         block -= D
-        block *= np.multiply.outer(w[rows], w[r0:])
-        # a chord is no longer than either arc between its ends, so every
-        # term is >= 0 and numpy's pairwise block sums are accurate to
-        # ~log2(block size) ulp
-        sums.append(float(block.sum()))
+        block *= w[r0:]
+        # a chord is no longer than its arcs, so every term is >= 0 (to the deviation, on the
+        # separation path) and numpy's pairwise row sums are accurate to ~log2(row length) ulp
+        sums.append(float(w[rows] @ block.sum(axis=1)))
         smallest_chord = min(smallest_chord, smallest)
-        largest_term = max(largest_term, float(block.max()), -float(block.min()))
+        largest_term = max(largest_term, float((np.abs(block, out=block).max(1) * w[rows]).max()))
     return EnergyReport(
         value=2.0 * math.fsum(sums),
         term_count=n * (n - 1),
@@ -103,6 +111,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
             "smallest_chord": smallest_chord,
             "largest_term": largest_term,
             "weights": scheme,
+            "arc": arc,
         },
     )
 
@@ -239,7 +248,7 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     and doubled, so segment i + k mod n of every i is a slice of a sliding
     window view: a pass builds no index arrays and gathers no segments.
     Whole separations are evaluated K at a time, as one (K, n) batch of
-    about :data:`polygon.BLOCK_PAIRS` / 8 pairs, in a scratch of 2 dim + 5
+    about :data:`polygon.BLOCK_PAIRS` / 4 pairs, in a scratch of 2 dim + 5
     values per pair allocated once per call; every pair's distance is the
     same whatever the batching.  On the regular n-gon, edges i and i + k
     are closest at v_{i+1} and v_{i+k} (see PAPER.md), so its term is the
@@ -265,7 +274,7 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     sums = np.zeros((2, n // 2 + 1))    # per separation: potential, max |excess|
     dim, thr2 = V.shape[0], (1e-12 * L) ** 2
     smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
-    step = max(1, BLOCK_PAIRS // (8 * n))
+    step = max(1, BLOCK_PAIRS // (4 * n))
     work = np.empty((2 * dim + 5, step, n))     # r, then the distance scratch
     for k0 in range(2, n // 2 + 1, step):     # separations k0 .. k1 - 1
         k1 = min(k0 + step, n // 2 + 1)

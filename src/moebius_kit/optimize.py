@@ -37,6 +37,7 @@ from scipy.linalg.lapack import dgesv, dposv
 from .curves import ArcLengthCurve
 from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
+from . import polygon
 from .polygon import ClosedPolygon, inverse_square_chord_blocks
 
 
@@ -85,18 +86,17 @@ class DescentTrace:
 def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     """Euclidean gradient of the forward-weighted discrete energy.
 
-    On an equilateral polygon the arc part sum l_i l_j / d(a_i, a_j)^2
-    depends on the vertices only through the edge lengths l, and it is
-    invariant under cyclic shifts and scaling of l.  Its partial
-    derivatives in the l_k are therefore equal and sum to zero, so each
-    is zero (see PAPER.md).  The gradient is that of the chord part
-    C = sum l_i l_j Q_ij alone, with Q the inverse-square chord matrix:
-    row i is 4 sum_j A_ij (v_j - v_i) for A = l (x) l o Q^2, plus the
-    chain rule through dC/dl_k = 2 (Q l)_k.  Q l and the row sums are
-    built one trapezoid block of :func:`polygon.inverse_square_chord_blocks`
-    at a time, so no (n, n) array is allocated; each block holds every
-    pair i < j once and feeds its row sums to the rows and its column
-    sums to the columns.
+    On equilateral polygons the arc part has zero gradient in the edge
+    lengths l (it is invariant under their cyclic shifts and scaling; see
+    PAPER.md), so this is the gradient of the chord part C = sum l_i l_j
+    Q_ij alone, Q the inverse-square chord matrix: row i is 4 l_i sum_j
+    l_j Q_ij^2 (v_j - v_i), plus the chain rule through dC/dl_k = 2 (Q l)_k.
+    Both are built one trapezoid block of
+    :func:`polygon.inverse_square_chord_blocks` at a time, with no weight
+    block: each pair i < j feeds its force, weighted by l_j, to row i and,
+    by l_i, to column j, and each vertex's sum takes its own l_i at the
+    end.  The forces use the exact differences v_i - v_j pair by pair; the
+    expanded v_i (Q^2 l)_i - (Q^2 (l o v))_i loses |v| / chord to cancellation.
 
     On equilateral input the result is exact; at the antipodal arc ties
     of even n it is the mean of the one-sided derivatives, which central
@@ -104,32 +104,23 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     equilateral-reduced gradient; larger deviations raise
     :class:`InputError`.
     """
-    cert = p.equilaterality()
-    if cert.max_edge_deviation > 1e-8:
-        raise InputError(
-            f"gradient expects an (almost) equilateral polygon; deviation {cert.max_edge_deviation:.2e}"
-        )
-    v, ell = p.vertices, p.edge_lengths    # forward weights; l_i <= L/2 on closed polygons
+    if (deviation := p.equilaterality().max_edge_deviation) > 1e-8:
+        raise InputError(f"gradient expects an (almost) equilateral polygon; deviation {deviation:.2e}")
+    V, ell = p.vertices.T.copy(), p.edge_lengths    # contiguous coordinates; forward weights (l_i <= L/2)
     pull = np.zeros(p.n)
-    grad = np.zeros_like(v)
+    grad = np.zeros((p.dim, p.n))          # sum_j l_j Q_ij^2 (v_i - v_j), coordinate-first
+    scratch = np.empty(p.dim * min(max(polygon.BLOCK_PAIRS, p.n), p.n * p.n))   # a block per coordinate
     for r0, Q, _ in inverse_square_chord_blocks(p, 1e-10 * p.total_length):
         rows = slice(r0, r0 + Q.shape[0])
-        # Q holds each pair i < j once: a row's pair adds to both ends, and
-        # the pair force A_ij (v_i - v_j) is antisymmetric in i, j
+        # Q holds each pair i < j once; it adds to both ends, its force Q_ij^2 (v_i - v_j) antisymmetric
         pull[rows] += Q @ ell[r0:]
         pull[r0:] += ell[rows] @ Q
-        A = np.square(Q, out=Q)
-        A *= np.multiply.outer(ell[rows], ell[r0:])
-        # sum_j A_ij (v_i - v_j) one coordinate at a time: the differences
-        # are exact, whereas A v - rowsum(A) v loses |v| / chord to
-        # cancellation at close approaches
-        force = np.empty_like(A)
-        for k in range(p.dim):
-            x = v[:, k]
-            np.multiply(A, np.subtract.outer(x[rows], x[r0:], out=force), out=force)
-            grad[rows, k] += force.sum(axis=1)
-            grad[r0:, k] -= force.sum(axis=0)
-    grad *= -4.0
+        force = scratch[:p.dim * Q.size].reshape(p.dim, *Q.shape)
+        np.subtract(V[:, rows, None], V[:, None, r0:], out=force)
+        force *= np.square(Q, out=Q)
+        grad[:, rows] += force @ ell[r0:]
+        grad[:, r0:] -= ell[rows] @ force
+    grad = np.multiply(grad.T, (-4.0 * ell)[:, None], order="C")
     edge_pull = (2.0 * pull)[:, None] * p.unit_edges()
     grad += np.concatenate((edge_pull[-1:], edge_pull[:-1])) - edge_pull
     return grad

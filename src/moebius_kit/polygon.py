@@ -33,9 +33,9 @@ from .errors import ConvergenceError, DoublePointError, InputError
 class EquilateralityCertificate:
     """How far a polygon is from the equilateral class.
 
-    ``max_edge_deviation`` is max_i |l_i - mean| / mean; the closure
-    residual is |sum of edge vectors| (zero by construction for polygons
-    stored as vertex lists).
+    ``max_edge_deviation`` is max_i |l_i - mean| / mean (up to 1e-8 the
+    energy takes its arc part by separation, and the gradient is defined);
+    the closure residual is |sum of edge vectors| (0 for vertex lists).
     """
 
     max_edge_deviation: float
@@ -106,7 +106,7 @@ class ClosedPolygon:
 
     def equilaterality(self) -> EquilateralityCertificate:
         mean = self.total_length / self.n
-        dev = float(np.max(np.abs(self.edge_lengths - mean))) / mean
+        dev = float(np.abs(self.edge_lengths - mean).max()) / mean
         closure = float(np.linalg.norm(self._edges.sum(axis=0)))
         return EquilateralityCertificate(dev, closure)
 
@@ -142,7 +142,7 @@ class ClosedPolygon:
             return cls.from_dict(json.load(fh))
 
 
-BLOCK_PAIRS = 1 << 16   # pair entries per row block of the chord kernel (512 KB of float64)
+BLOCK_PAIRS = 1 << 15   # pair entries per row block of the chord kernel (256 KB of float64)
 
 
 def inverse_square_chord_blocks(p: ClosedPolygon, barrier: float):

@@ -62,6 +62,17 @@ def test_energy_discrete(square_path, capsys):
     assert float(out) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("vertices, arc", [
+    ([[0, 0], [1, 0], [1, 1], [0, 1]], "separation"),
+    ([[0, 0], [0.3, 0], [0.3, 0.2], [0, 0.2]], "parameters"),
+], ids=["square", "rectangle"])
+def test_energy_report_names_the_arc_form(tmp_path, vertices, arc):
+    polygon, report = tmp_path / "polygon.json", tmp_path / "report.json"
+    mk.ClosedPolygon(vertices).write_json(polygon)
+    assert main(["energy", "--polygon", str(polygon), "--kind", "discrete", "--report", str(report)]) == 0
+    assert json.loads(report.read_text())["diagnostics"]["arc"] == arc
+
+
 def test_energy_mindist(square_path, capsys):
     rc = main(["energy", "--polygon", square_path, "--kind", "mindist"])
     assert rc == 0

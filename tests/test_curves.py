@@ -6,6 +6,7 @@ import pytest
 import moebius_kit as mk
 from moebius_kit import curves
 from moebius_kit.errors import InputError, NotEmbeddedError
+from moebius_kit.polygon import inverse_square_chord_blocks
 
 
 def test_circle_length():
@@ -113,14 +114,31 @@ def dense_bilipschitz_estimate(curve) -> float:
     return 1.05 * float(ratio.max())
 
 
-@pytest.mark.parametrize("curve", [
+BILIPSCHITZ_CURVES = pytest.mark.parametrize("curve", [
     mk.circle(1.0), mk.circle(2.0, (0.0, 0.0, 1.0)), mk.ellipse(1.0, 0.6), mk.ellipse(1.0, 0.3),
     mk.torus_knot(2, 3, 2.0, 1.0), mk.torus_knot(2, 5, 2.0, 1.0), mk.rounded_polygon(5, 1.0, 0.2),
 ], ids=["circle", "circle-3d", "ellipse-0.6", "ellipse-0.3", "trefoil", "knot-2-5", "rounded-pentagon"])
+
+
+@BILIPSCHITZ_CURVES
 def test_bilipschitz_matches_dense_reference(curve):
     c = mk.arclength_reparametrize(curve)
     # within one ulp: the kernel's squared chords and d^2 Q round differently from d / |chord|
     assert c.bilipschitz == pytest.approx(dense_bilipschitz_estimate(c), rel=2.3e-16, abs=0.0)
+
+
+@BILIPSCHITZ_CURVES
+def test_bilipschitz_equals_the_wrapped_intrinsic_distance_form(curve):
+    # on the pairs the chord kernel keeps, s_j - s_i lies in (0, L), where
+    # intrinsic_distance's wrap modulo L is the identity: the same bits
+    c = mk.arclength_reparametrize(curve)
+    L = c.length
+    s = np.arange(512) * (L / 512)
+    largest = 0.0
+    for r0, Q, _ in inverse_square_chord_blocks(mk.ClosedPolygon(c.eval(s)), 1e-9 * L):
+        d = mk.intrinsic_distance(L, s[r0:r0 + Q.shape[0], None], s[None, r0:])
+        largest = max(largest, float((np.square(d) * Q).max()))
+    assert c.bilipschitz == 1.05 * math.sqrt(largest)
 
 
 class _SampledCircle:

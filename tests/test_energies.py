@@ -102,6 +102,48 @@ class TestDiscreteEnergy:
             mk.discrete_moebius_energy(sq, scheme="bogus")
 
 
+def with_edge_deviation(p, deviation, seed):
+    """p moved by seeded vertex noise scaled so that its max_edge_deviation is ``deviation`` to ~1e-6."""
+    noise = np.random.default_rng(seed).standard_normal(p.vertices.shape) * (p.total_length / p.n)
+    probe = mk.ClosedPolygon(p.vertices + 1e-6 * noise).equilaterality().max_edge_deviation
+    return mk.ClosedPolygon(p.vertices + (1e-6 * deviation / probe) * noise)
+
+
+class TestArcForms:
+    """The separation form of the arc part against the definition, on both sides of its 1e-8 bound."""
+
+    @pytest.mark.parametrize("scheme", ["forward", "averaged"])
+    @pytest.mark.parametrize("deviation, arc", [(0.0, "separation"), (1e-9, "separation"),
+                                                (0.999e-8, "separation"), (1.001e-8, "parameters")])
+    @pytest.mark.parametrize("n", [8, 9, 16, 64])
+    def test_matches_reference_across_the_bound(self, n, deviation, arc, scheme):
+        # even n has the antipodal ties, where d(a_i, a_j) has a kink: taken from
+        # the separation there, the value would be off at first order in the deviation
+        for p in (mk.regular_ngon(n, float(n), dim=3), mk.random_equilateral_polygon(n, dim=3, seed=n)):
+            q = with_edge_deviation(p, deviation, n) if deviation else p
+            # the sampler closes its polygons to an edge deviation of 1e-12
+            assert q.equilaterality().max_edge_deviation == pytest.approx(deviation, rel=1e-3, abs=1e-12)
+            rep = mk.discrete_moebius_energy(q, scheme=scheme)
+            value, terms = discrete_energy_reference(q.vertices, scheme)
+            assert rep.diagnostics["arc"] == arc
+            assert rep.value == pytest.approx(value, rel=1e-13, abs=0.0)
+            # a single term moves with the deviation; the sum only to second order
+            largest = max(map(abs, terms))
+            assert rep.diagnostics["largest_term"] == pytest.approx(largest, rel=1e-12 + deviation, abs=0.0)
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (9, 1), (32, 2), (64, 3)])
+    def test_retracted_descent_trial_matches_reference(self, n, seed):
+        p = mk.random_equilateral_polygon(n, dim=3, seed=seed)
+        x = mk.sobolev_direction(p, mk.energy_gradient(p))
+        for step in (1e-3, 1e-1):
+            trial = mk.project_equilateral_closed(p.vertices - step * x, p.total_length / n)
+            for scheme in ("forward", "averaged"):
+                rep = mk.discrete_moebius_energy(trial, scheme=scheme)
+                assert rep.diagnostics["arc"] == "separation"
+                value, _ = discrete_energy_reference(trial.vertices, scheme)
+                assert rep.value == pytest.approx(value, rel=1e-13, abs=0.0)
+
+
 class TestRegularNgonOracle:
     def test_square_hexagon_triangle(self):
         assert mk.regular_ngon_energy(4) == pytest.approx(1.0, abs=1e-12)

@@ -1,11 +1,11 @@
 """Exact rational oracles on lattice polygons.
 
 A self-avoiding closed walk of unit steps on Z^2 or Z^3 is an equilateral
-polygon with integer vertices, so its discrete energy and its minimum
-distance potential are rational numbers, computed here with ``fractions``
-alone.  The walks are full of exactly parallel segment pairs, so the
-potential checks the parallel branch of the segment-distance kernel
-against an exact answer.
+polygon with integer vertices, so its discrete energy, the gradient of the
+energy's chord part and its minimum distance potential are rational
+numbers, computed here with ``fractions`` alone.  The walks are full of
+exactly parallel segment pairs, so the potential checks the parallel
+branch of the segment-distance kernel against an exact answer.
 """
 
 from fractions import Fraction
@@ -75,6 +75,26 @@ def exact_potential(walk) -> Fraction:
     return total
 
 
+def exact_chord_gradient(walk) -> list[list[Fraction]]:
+    """Gradient of the chord part C = sum l_i l_j / |v_i - v_j|^2 at the walk, all l = 1.
+
+    Over ordered non-consecutive pairs: dC/dv_m = -4 sum_j (v_m - v_j) / |v_m - v_j|^4,
+    plus the chain rule through the edge lengths, dC/dl_k = 2 sum_j 1 / |v_k - v_j|^2,
+    with dl_k/dv_m = -u_k at m = k and u_k at m = k + 1 for the integer unit edges u.
+    """
+    n, dim = len(walk), len(walk[0])
+    diff = [[[a - b for a, b in zip(walk[i], walk[j])] for j in range(n)] for i in range(n)]
+    near = [[min((j - i) % n, (i - j) % n) < 2 for j in range(n)] for i in range(n)]
+    pull = [2 * sum(Fraction(1, squared(diff[k][j])) for j in range(n) if not near[k][j]) for k in range(n)]
+    grad = []
+    for m in range(n):
+        g = [-4 * sum(Fraction(diff[m][j][c], squared(diff[m][j]) ** 2) for j in range(n) if not near[m][j])
+             for c in range(dim)]
+        u_prev, u = diff[m][m - 1], diff[(m + 1) % n][m]      # v_m - v_{m-1} and v_{m+1} - v_m
+        grad.append([g[c] + pull[m - 1] * u_prev[c] - pull[m] * u[c] for c in range(dim)])
+    return grad
+
+
 WALKS = [(n, dim, seed) for n in (8, 16, 32, 64) for dim in (2, 3) for seed in (0, 1)]
 
 
@@ -99,3 +119,11 @@ def test_mindist_potential_matches_exact_value(n, dim, seed):
     exact = exact_potential(walk)
     rep = mk.minimum_distance_energy(mk.ClosedPolygon(walk))
     assert rep.diagnostics["potential"] == pytest.approx(float(exact), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("n, dim, seed", WALKS)
+def test_gradient_matches_exact_chord_gradient(n, dim, seed):
+    walk = lattice_walk(n, dim, seed)
+    exact = np.array([[float(x) for x in row] for row in exact_chord_gradient(walk)])
+    got = mk.energy_gradient(mk.ClosedPolygon(walk))
+    assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
