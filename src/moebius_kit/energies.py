@@ -67,7 +67,9 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
     ``max_edge_deviation`` of 1e-8, D is 1 / (c min(k, n - k))^2 at
     k = j - i, c = L / n, a Toeplitz view of one row, but for the kinked
     ties (i, i + n/2) of even n: to second order in the deviation, the
-    same (PAPER.md).  ``diagnostics["arc"]`` is "separation" or "parameters".
+    same (PAPER.md).  ``diagnostics["arc"]`` is "separation" or "parameters";
+    on the former, ``largest_term`` is the largest term of that form, equal
+    to the definition's only to first order in the deviation.
 
     The ``"forward"`` scheme weights a vertex by its outgoing edge length,
     ``"averaged"`` by the mean of its two incident edge lengths; both
@@ -79,23 +81,31 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
     forward = np.minimum(p.edge_lengths, L - p.edge_lengths)   # d(a_i, a_{i+1})
     w = forward if scheme == "forward" else 0.5 * (np.roll(forward, 1) + forward)
     arc = "separation" if p.equilaterality().max_edge_deviation <= 1e-8 else "parameters"
-    tie = n // 2 * (1 - n % 2)      # even n: the pairs (i, i + n/2), where d has a kink, keep d(a_i, a_j)
-    sep, k = np.zeros(2 * n), np.arange(2, n - 1)   # sep[n + k] = 1 / (c min(k, n - k))^2, else 0
-    sep[n + 2:2 * n - 1] = np.reciprocal(np.square((L / n) * np.minimum(k, n - k))) * (k != tie)
-    d = a[n - tie:] - a[:tie]
-    tie_D = np.reciprocal(np.square(np.minimum(d, L - d)))
+    if arc == "separation":
+        tie = n // 2 * (1 - n % 2)      # even n: the pairs (i, i + n/2), where d has a kink, keep d(a_i, a_j)
+        sep, k = np.zeros(2 * n), np.arange(2, n - 1)   # sep[n + k] = 1 / (c min(k, n - k))^2, else 0
+        sep[n + 2:2 * n - 1] = np.reciprocal(np.square((L / n) * np.minimum(k, n - k)))
+        sep[n + tie] = 0.0              # odd n: sep[n] is 0 anyway
+        d = a[n - tie:] - a[:tie]
+        tie_D = np.reciprocal(np.square(np.minimum(d, L - d)))
 
     sums, smallest_chord, largest_term = [], math.inf, 0.0
     # each block holds Q[r0:r1, r0:] and is turned into the terms in place
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
-        rows = slice(r0, r0 + block.shape[0])
+        i = np.arange(block.shape[0])
+        rows = slice(r0, r0 + i.size)
         if arc == "separation":     # D[i, j] = sep[n + j - i], a Toeplitz view; the ties on a diagonal
             D = np.ndarray(block.shape, buffer=sep, offset=8 * n, strides=(-8, 8))      # float64
-            block.reshape(-1)[tie::block.shape[1] + 1][:tie_D[rows].size] -= tie_D[rows]
-        else:                       # Q is 0 exactly where D is: j <= i and consecutive pairs
-            D = np.subtract(a[r0:], a[rows, None])              # a_j - a_i
-            np.minimum(D, L - D, out=D)                         # d(a_i, a_j) for j > i
-            D = np.divide(1.0, np.square(D, out=D), out=np.zeros_like(D), where=block > 0)
+            t = i[:tie_D[rows].size]
+            block[t, tie + t] -= tie_D[rows]
+        else:
+            D = np.subtract(a[r0:], a[rows, None])                  # a_j - a_i >= 0 for j > i
+            np.minimum(D, L - D, out=D)                             # d(a_i, a_j)
+            D[:, :i.size][np.tri(i.size, dtype=bool)] = np.inf     # j <= i
+            D = np.reciprocal(np.square(D, out=D), out=D)
+            D[i, i + 1] = 0.0
+            if r0 == 0:
+                D[0, n - 1] = 0.0
         block -= D
         block *= w[r0:]
         # a chord is no longer than its arcs, so every term is >= 0 (to the deviation, on the
@@ -248,7 +258,7 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     and doubled, so segment i + k mod n of every i is a slice of a sliding
     window view: a pass builds no index arrays and gathers no segments.
     Whole separations are evaluated K at a time, as one (K, n) batch of
-    about :data:`polygon.BLOCK_PAIRS` / 4 pairs, in a scratch of 2 dim + 5
+    about :data:`polygon.BLOCK_PAIRS` / 8 pairs, in a scratch of 2 dim + 5
     values per pair allocated once per call; every pair's distance is the
     same whatever the batching.  On the regular n-gon, edges i and i + k
     are closest at v_{i+1} and v_{i+k} (see PAPER.md), so its term is the
@@ -274,7 +284,7 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     sums = np.zeros((2, n // 2 + 1))    # per separation: potential, max |excess|
     dim, thr2 = V.shape[0], (1e-12 * L) ** 2
     smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
-    step = max(1, BLOCK_PAIRS // (4 * n))
+    step = max(1, BLOCK_PAIRS // (8 * n))
     work = np.empty((2 * dim + 5, step, n))     # r, then the distance scratch
     for k0 in range(2, n // 2 + 1, step):     # separations k0 .. k1 - 1
         k1 = min(k0 + step, n // 2 + 1)

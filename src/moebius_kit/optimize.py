@@ -107,19 +107,19 @@ def energy_gradient(p: ClosedPolygon) -> np.ndarray:
     if (deviation := p.equilaterality().max_edge_deviation) > 1e-8:
         raise InputError(f"gradient expects an (almost) equilateral polygon; deviation {deviation:.2e}")
     V, ell = p.vertices.T.copy(), p.edge_lengths    # contiguous coordinates; forward weights (l_i <= L/2)
-    pull = np.zeros(p.n)
-    grad = np.zeros((p.dim, p.n))          # sum_j l_j Q_ij^2 (v_i - v_j), coordinate-first
-    scratch = np.empty(p.dim * min(max(polygon.BLOCK_PAIRS, p.n), p.n * p.n))   # a block per coordinate
+    pull, grad = np.zeros(p.n), np.zeros((p.dim, p.n))     # grad: sum_j l_j Q_ij^2 (v_i - v_j), coordinate-first
+    scratch = np.empty(min(max(polygon.BLOCK_PAIRS, p.n), p.n * p.n))     # one block of one coordinate's forces
     for r0, Q, _ in inverse_square_chord_blocks(p, 1e-10 * p.total_length):
         rows = slice(r0, r0 + Q.shape[0])
         # Q holds each pair i < j once; it adds to both ends, its force Q_ij^2 (v_i - v_j) antisymmetric
         pull[rows] += Q @ ell[r0:]
         pull[r0:] += ell[rows] @ Q
-        force = scratch[:p.dim * Q.size].reshape(p.dim, *Q.shape)
-        np.subtract(V[:, rows, None], V[:, None, r0:], out=force)
-        force *= np.square(Q, out=Q)
-        grad[:, rows] += force @ ell[r0:]
-        grad[:, r0:] -= ell[rows] @ force
+        force = scratch[:Q.size].reshape(Q.shape)
+        Q2 = np.square(Q, out=Q)
+        for x, g in zip(V, grad):
+            np.multiply(np.subtract.outer(x[rows], x[r0:], out=force), Q2, out=force)
+            g[rows] += force @ ell[r0:]
+            g[r0:] -= ell[rows] @ force
     grad = np.multiply(grad.T, (-4.0 * ell)[:, None], order="C")
     edge_pull = (2.0 * pull)[:, None] * p.unit_edges()
     grad += np.concatenate((edge_pull[-1:], edge_pull[:-1])) - edge_pull

@@ -142,7 +142,7 @@ class ClosedPolygon:
             return cls.from_dict(json.load(fh))
 
 
-BLOCK_PAIRS = 1 << 15   # pair entries per row block of the chord kernel (256 KB of float64)
+BLOCK_PAIRS = 1 << 16   # pair entries per row block of the chord kernel (512 KB of float64)
 
 
 def inverse_square_chord_blocks(p: ClosedPolygon, barrier: float):
