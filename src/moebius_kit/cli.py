@@ -273,6 +273,9 @@ def cmd_study_liminf(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):     # no flag prefixes: --seed must not mean --seeds
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # bad usage is an input error: exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         sys.stderr.write(f"error: {message}\n")

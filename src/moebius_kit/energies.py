@@ -67,9 +67,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
     ``max_edge_deviation`` of 1e-8, D is 1 / (c min(k, n - k))^2 at
     k = j - i, c = L / n, a Toeplitz view of one row, but for the kinked
     ties (i, i + n/2) of even n: to second order in the deviation, the
-    same (PAPER.md).  ``diagnostics["arc"]`` is "separation" or "parameters";
-    on the former, ``largest_term`` is the largest term of that form, equal
-    to the definition's only to first order in the deviation.
+    same (PAPER.md).  ``diagnostics["arc"]`` is "separation" or "parameters".
 
     The ``"forward"`` scheme weights a vertex by its outgoing edge length,
     ``"averaged"`` by the mean of its two incident edge lengths; both
@@ -89,7 +87,7 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
         d = a[n - tie:] - a[:tie]
         tie_D = np.reciprocal(np.square(np.minimum(d, L - d)))
 
-    sums, smallest_chord, largest_term = [], math.inf, 0.0
+    sums, smallest_chord = [], math.inf
     # each block holds Q[r0:r1, r0:] and is turned into the terms in place
     for r0, block, smallest in inverse_square_chord_blocks(p, 1e-12 * L):
         i = np.arange(block.shape[0])
@@ -112,17 +110,11 @@ def discrete_moebius_energy(p: ClosedPolygon, scheme: str = "forward") -> Energy
         # separation path) and numpy's pairwise row sums are accurate to ~log2(row length) ulp
         sums.append(float(w[rows] @ block.sum(axis=1)))
         smallest_chord = min(smallest_chord, smallest)
-        largest_term = max(largest_term, float((np.abs(block, out=block).max(1) * w[rows]).max()))
     return EnergyReport(
         value=2.0 * math.fsum(sums),
         term_count=n * (n - 1),
         scheme=scheme,
-        diagnostics={
-            "smallest_chord": smallest_chord,
-            "largest_term": largest_term,
-            "weights": scheme,
-            "arc": arc,
-        },
+        diagnostics={"smallest_chord": smallest_chord, "arc": arc},
     )
 
 
@@ -173,12 +165,15 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     cost it 4 or more digits, so Lagrange's identity takes it and the
     numerator of s from cross products: a e - b^2 = |d1 x d2|^2 and
     b f - c e = (d1 x d2) . (d2 x r), and nearly parallel segments that
-    cross are caught.  Pairs with d1 x d2 = 0 are parallel: the clamped
-    steps can stop short there, so they take the smallest of the four
-    endpoint-to-segment distances, which is exact.  Every other pass
-    writes into ``work``, a (dim + 5, *pair shape) scratch array that a
-    caller can reuse across batches; ``r`` is overwritten, and the result
-    is a view into ``work``.
+    cross are caught.  Pairs with d1 x d2 = 0 are parallel and start from
+    s = 0, so t is p1's projection onto the second segment and s that
+    point's projection onto the first: along the common direction the
+    first clamp lands in the second interval and the second clamp then
+    reaches the first interval's nearest point, so the gap is exact
+    whether the intervals overlap or not.  Every other pass writes into
+    ``work``, a (dim + 5, *pair shape) scratch array that a caller can
+    reuse across batches; ``r`` is overwritten, and the result is a view
+    into ``work``.
     """
     dim = r.shape[0]
     if work is None:
@@ -196,16 +191,7 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
         normal = _cross(d1p, d2p)
         denom[near] = np.einsum("i...,i...->...", normal, normal)
         numer = np.einsum("i...,i...->...", normal, _cross(d2p, rp))
-    parallel = denom <= 0.0
-    ends = None
-    if parallel.any():      # each endpoint against the other segment, before r is overwritten
-        rp, d1p, d2p = (np.broadcast_to(x, r.shape)[:, parallel] for x in (r, d1, d2))
-        ap, ep = (np.broadcast_to(x, parallel.shape)[parallel] for x in (a, e))
-        x = np.stack([rp, rp + d1p, -rp, d2p - rp], axis=1)     # from the other segment's start
-        d = np.stack([d2p, d2p, d1p, d1p], axis=1)
-        x -= np.clip(np.einsum("i...,i...->...", x, d) / np.stack([ep, ep, ap, ap]), 0.0, 1.0) * d
-        ends = np.einsum("i...,i...->...", x, x).min(axis=0)
-    np.copyto(denom, np.inf, where=parallel)        # s = 0 there, overwritten by ``ends`` below
+    np.copyto(denom, np.inf, where=denom <= 0.0)    # parallel: s = 0
     np.multiply(c, e, out=w[0])
     np.multiply(b, f, out=s)
     s -= w[0]
@@ -224,10 +210,7 @@ def _squared_segment_distances(r, d1, d2, a, e, work=None) -> np.ndarray:
     np.multiply(s, d1, out=w)
     w += r
     w -= np.multiply(t, d2, out=r)
-    dist2 = _dot(w, w, b, w)
-    if ends is not None:
-        dist2[parallel] = ends
-    return dist2
+    return _dot(w, w, b, w)
 
 
 def segment_distance(seg_a, seg_b) -> float:
@@ -263,14 +246,12 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     same whatever the batching.  On the regular n-gon, edges i and i + k
     are closest at v_{i+1} and v_{i+k} (see PAPER.md), so its term is the
     closed form ref_k = (sin(pi/n) / sin((min(k, n - k) - 1) pi/n))^2,
-    symmetric in k and n - k, and its potential is n sum_k ref_k.  The
-    ordered pair (i, j) carries the excess term - ref[(j - i) mod n];
+    symmetric in k and n - k, and its potential is n sum_k ref_k.
     ``value`` is the compensated sum of the per-separation potentials
-    minus the reference's, and ``largest_term`` is the largest |excess|.
-    For n = 3 every pair is adjacent and the sum is vacuous (value 0,
-    flagged).  Pairs closer than 1e-12 L raise :class:`DoublePointError`
-    naming the smallest such (i, j), i < j, in row-major order, the chord
-    kernel's rule.
+    minus the reference's.  For n = 3 every pair is adjacent and the sum
+    is vacuous (value 0, flagged).  Pairs closer than 1e-12 L raise
+    :class:`DoublePointError` naming the smallest such (i, j), i < j, in
+    row-major order, the chord kernel's rule.
     """
     n, L, ell = p.n, p.total_length, p.edge_lengths
     V = p.vertices.T
@@ -281,7 +262,7 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
     ref = np.zeros(n)
     ref[sep] = (math.sin(math.pi / n) / np.sin((np.minimum(sep, n - sep) - 1) * (math.pi / n))) ** 2
 
-    sums = np.zeros((2, n // 2 + 1))    # per separation: potential, max |excess|
+    sums = np.zeros(n // 2 + 1)     # per separation: potential
     dim, thr2 = V.shape[0], (1e-12 * L) ** 2
     smallest, pair = math.inf, n * n    # pair: i * n + j of the smallest double point found
     step = max(1, BLOCK_PAIRS // (8 * n))
@@ -302,19 +283,16 @@ def minimum_distance_energy(p: ClosedPolygon) -> EnergyReport:
             continue    # the energy is infinite; only the smallest double point is still wanted
         vals = np.multiply(ell, ell2[k0:k1], out=r[0])
         vals /= dist2
-        # rounding is monotone, so max |vals - c| = max(max vals - c, c - min vals), bitwise
-        sums[:, k] = (np.where(2 * k == n, 1.0, 2.0) * vals.sum(axis=1),
-                      np.maximum(vals.max(axis=1) - ref[k], ref[k] - vals.min(axis=1)))
+        sums[k] = np.where(2 * k == n, 1.0, 2.0) * vals.sum(axis=1)
     if pair < n * n:
         pair = divmod(pair, n)
         raise DoublePointError(f"infinite energy: segment pair {pair}", pair=pair)
 
-    potential, regular = math.fsum(sums[0]), n * math.fsum(ref)
+    potential, regular = math.fsum(sums), n * math.fsum(ref)
     diag = {
         "potential": potential,
         "regular_ngon_potential": regular,
         "smallest_distance": None if math.isinf(smallest) else math.sqrt(smallest),
-        "largest_term": float(sums[1].max()),
     }
     if n == 3:
         diag["vacuous_sum"] = True
@@ -347,9 +325,10 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
     m pi^2 / 3.  kappa^2 is |gamma''|^2 from the nodes' discrete Fourier
     transform with the Nyquist mode zeroed, summed by Parseval.  m doubles
     through :data:`QUADRATURE_GRIDS` until two grids agree to tol *
-    max(1, value); ``levels`` counts the grids tried and ``term_count``
-    sums m^2 over them.  Nodes closer than 1e-9 L, consecutive ones
-    included, raise :class:`NotEmbeddedError`.
+    max(1, value); ``converged`` says whether they did (an unconverged
+    run is reported, not raised), ``levels`` counts the grids tried and
+    ``term_count`` sums m^2 over them.  Nodes closer than 1e-9 L,
+    consecutive ones included, raise :class:`NotEmbeddedError`.
     """
     if not 1e-10 <= tol <= 1e-3:
         raise InputError("tol must lie in [1e-10, 1e-3]")
@@ -379,21 +358,18 @@ def smooth_moebius_energy(curve: ArcLengthCurve, tol: float = 1e-8) -> EnergyRep
         if len(estimates) >= 2 and abs(estimates[-1] - estimates[-2]) < tol * max(1.0, abs(estimates[-1])):
             converged = True
             break
-    diag = {
-        "levels": len(estimates),
-        "grid": m,
-        "smallest_chord": smallest,
-        "last_estimates": estimates[-2:],
-        "converged": converged,
-        "tol": tol,
-    }
-    if not converged:
-        diag["unconverged"] = True
     return EnergyReport(
         value=estimates[-1],
         term_count=evaluations,
         scheme="quadrature",
-        diagnostics=diag,
+        diagnostics={
+            "levels": len(estimates),
+            "grid": m,
+            "smallest_chord": smallest,
+            "last_estimates": estimates[-2:],
+            "converged": converged,
+            "tol": tol,
+        },
     )
 
 

@@ -192,6 +192,8 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
         family_name = "inscribed"
         make = lambda c, n: inscribe_uniform(c, n)[0]
     elif polygon_family == "perturbed":
+        if seed < 0:
+            raise InputError(f"seed must be a nonnegative integer, not {seed}")
         family_name = "perturbed"
         make = lambda c, n: _perturbed_inscribed(c, n, seed)
     else:

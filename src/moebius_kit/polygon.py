@@ -246,6 +246,8 @@ def random_equilateral_polygon(n: int, dim: int = 3, seed: int = 0) -> ClosedPol
         raise InputError("a polygon needs n >= 3")
     if dim not in (2, 3):
         raise InputError("dim must be 2 or 3")
+    if seed < 0:
+        raise InputError(f"seed must be a nonnegative integer, not {seed}")
     for attempt in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(attempt,)))
         try:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,6 +105,38 @@ def test_energy_smooth_unconverged_exits_3(pentagon_path, capsys, tmp_path):
     assert float(captured.out.strip()) == pytest.approx(7.417201, abs=5e-6)
     assert "did not converge" in captured.err
     assert json.loads(report_path.read_text())["diagnostics"]["converged"] is False
+
+
+REPORT_DIAGNOSTICS = {     # as listed in the README's --report paragraph
+    "discrete": {"smallest_chord", "arc"},
+    "mindist": {"potential", "regular_ngon_potential", "smallest_distance"},
+    "smooth": {"converged", "levels", "grid", "last_estimates", "smallest_chord", "tol"},
+}
+
+
+@pytest.mark.parametrize("kind, source, extra, code", [
+    ("discrete", "square", set(), 0),
+    ("mindist", "square", set(), 0),
+    ("mindist", "triangle", {"vacuous_sum"}, 0),
+    ("smooth", "circle", set(), 0),
+    ("smooth", "pentagon", set(), 3),   # unconverged: the same keys, converged false
+], ids=["discrete", "mindist", "mindist-triangle", "smooth", "smooth-unconverged"])
+def test_energy_report_diagnostics_are_the_documented_keys(kind, source, extra, code, square_path,
+                                                           circle_path, pentagon_path, tmp_path, capsys):
+    triangle = tmp_path / "triangle.json"
+    mk.regular_ngon(3, 1.0).write_json(triangle)
+    paths = {"square": square_path, "triangle": str(triangle), "circle": circle_path, "pentagon": pentagon_path}
+    report = tmp_path / "report.json"
+    flag = "--curve" if kind == "smooth" else "--polygon"
+    assert main(["energy", "--kind", kind, flag, paths[source], "--report", str(report)]) == code
+    capsys.readouterr()
+    diagnostics = json.loads(report.read_text())["diagnostics"]
+    assert set(diagnostics) == REPORT_DIAGNOSTICS[kind] | extra
+    if kind == "smooth":
+        assert diagnostics["converged"] is (code == 0)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("`--report` writes"):].split("\n\n")[0]
+    assert all(f"`{key}`" in paragraph for key in diagnostics)
 
 
 @pytest.mark.parametrize("study, n", [("rate", "8:128:x2"), ("gamma", "8,16"), ("liminf", "8,16,32")])
@@ -314,6 +347,38 @@ def test_bad_descent_settings_exit_1(argv, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error:")
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["minimize", "--n", "8", "--seed", "-1"],
+    ["study", "liminf", "--n", "8,16,32", "--family", "perturbed", "--seed", "-3"],
+])
+def test_negative_seed_exits_1(argv, circle_path, tmp_path, capsys):
+    # numpy's seeding used to end these in a ValueError traceback
+    out = tmp_path / "run"
+    if argv[0] == "study":
+        argv = [*argv, "--curve", circle_path]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: seed must be a nonnegative integer")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, given", [
+    (["study", "minimizers", "--n", "8", "--seed", "3"], "--seed 3"),   # once read as --seeds 3
+    (["minimize", "--n", "8", "--max", "3"], "--max 3"),                 # once read as --max-iter 3
+])
+def test_flag_prefixes_are_not_accepted(argv, given, tmp_path, capsys):
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(out)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {given}" in captured.err
     assert not out.exists()
 
 

