@@ -2,9 +2,10 @@
 
 A curve enters as a periodic evaluator and its derivative over the unit
 parameter interval (:class:`ParametricCurve`) and is converted to a unit-speed
-:class:`ArcLengthCurve` via a monotone lookup table.  The bi-Lipschitz
-constant exposed here is a sampled estimate inflated by a 5% safety factor,
-computed on the chord kernel of :mod:`polygon`.
+:class:`ArcLengthCurve` via a monotone lookup table, built here without
+scipy.  The bi-Lipschitz constant exposed here is a sampled estimate
+inflated by a 5% safety factor, computed on the chord kernel of
+:mod:`polygon`.  Only :func:`from_samples` loads ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .errors import ConvergenceError, DoublePointError, InputError, NotEmbeddedError
 from .polygon import ClosedPolygon, inverse_square_chord_blocks
@@ -138,13 +138,14 @@ def torus_knot(p: int, q: int, ring_radius: float = 2.0, tube_radius: float = 1.
     def deriv(u):
         ap = TWO_PI * p * u
         aq = TWO_PI * q * u
-        rad = R + r * np.cos(aq)
+        cos_p, sin_p, cos_q = np.cos(ap), np.sin(ap), np.cos(aq)
+        rad = R + r * cos_q
         drad = -TWO_PI * q * r * np.sin(aq)
         return np.stack(
             [
-                drad * np.cos(ap) - TWO_PI * p * rad * np.sin(ap),
-                drad * np.sin(ap) + TWO_PI * p * rad * np.cos(ap),
-                TWO_PI * q * r * np.cos(aq),
+                drad * cos_p - TWO_PI * p * rad * sin_p,
+                drad * sin_p + TWO_PI * p * rad * cos_p,
+                TWO_PI * q * r * cos_q,
             ],
             axis=1,
         )
@@ -217,7 +218,12 @@ def rounded_polygon(sides: int, circumradius: float = 1.0, corner_radius: float 
 
 
 def from_samples(samples) -> ParametricCurve:
-    """Periodic cubic-spline curve through a closed table of sample points."""
+    """Periodic cubic-spline curve through a closed table of sample points.
+
+    The one curve kind that loads ``scipy.interpolate``, on its first call.
+    """
+    from scipy.interpolate import CubicSpline
+
     pts = np.asarray(samples, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 4 or pts.shape[1] not in (2, 3):
         raise InputError("samples must be an (m>=4, 2|3) array of points")
@@ -265,23 +271,56 @@ def parametric_from_descriptor(descriptor: dict) -> ParametricCurve:
         raise InputError(f"bad parameters for curve kind {kind!r}: {exc}") from None
 
 
+def _pchip_end_slope(h0, h1, m0, m1):
+    """One-sided three-point slope at an end of an increasing table, 0 where it is not positive."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if d > 0.0 else 0.0
+
+
+def _pchip_coefficients(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients (4, m - 1) of the PCHIP interpolant of y over x, both strictly increasing.
+
+    The arithmetic of ``scipy.interpolate.PchipInterpolator(x, y).c``, so
+    the table is bit for bit scipy's: an interior slope is the weighted
+    harmonic mean of the neighbouring secants, an end slope the clamped
+    one-sided estimate, and row k of interval i is the coefficient of
+    (s - x_i)^(3 - k).  Every secant is positive, so scipy's branches for
+    flat and sign-changing secants never apply.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    w1 = 2 * h[1:] + h[:-1]
+    w2 = h[1:] + 2 * h[:-1]
+    d = np.empty_like(y)
+    d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+    d[0] = _pchip_end_slope(h[0], h[1], m[0], m[1])
+    d[-1] = _pchip_end_slope(h[-1], h[-2], m[-1], m[-2])
+    t = (d[:-1] + d[1:] - 2 * m) / h
+    return np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]))
+
+
 class ArcLengthCurve:
     """Unit-speed closed curve backed by a parameter-vs-arclength table.
 
-    The inverse lookup (arc length -> source parameter) is a monotone
-    cubic interpolant, so evaluation never overshoots between nodes.
+    The inverse lookup (arc length -> source parameter) is the monotone
+    cubic (PCHIP) interpolant of the table, built by
+    :func:`_pchip_coefficients`, so evaluation never overshoots between
+    nodes.  Both tables must increase strictly, and have at least 3 entries.
     """
 
     def __init__(self, source: ParametricCurve, u_table, s_table, bilipschitz=None):
         self.source = source
         self.u_table = np.asarray(u_table, dtype=float)
         self.s_table = np.asarray(s_table, dtype=float)
+        if self.s_table.ndim != 1 or self.s_table.size < 3 or self.u_table.shape != self.s_table.shape:
+            raise InputError("parameter and arclength tables must be 1-D, of one length, at least 3")
         if self.s_table[0] != 0.0 or np.any(np.diff(self.s_table) <= 0.0):
             raise InputError("arclength table must start at 0 and be strictly increasing")
+        if not np.all(np.diff(self.u_table) > 0.0):
+            raise InputError("parameter table must be strictly increasing")
         self.length = float(self.s_table[-1])
-        inv = PchipInterpolator(self.s_table, self.u_table)
-        self._inv_x = inv.x
-        self._inv_c = inv.c
+        self._inv_x = self.s_table
+        self._inv_c = _pchip_coefficients(self.s_table, self.u_table)
         self.bilipschitz = bilipschitz
 
     @property

@@ -1,7 +1,11 @@
+import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 import moebius_kit as mk
 from moebius_kit import curves
@@ -77,6 +81,76 @@ def test_periodicity_and_nondegeneracy():
 
 def test_lookup_table_monotone(trefoil):
     assert np.all(np.diff(trefoil.s_table) > 0.0)
+
+
+_PENTAGON_SAMPLES = np.stack([np.cos(np.arange(5) * 0.4 * math.pi),
+                              0.5 * np.sin(np.arange(5) * 0.4 * math.pi)], axis=1).tolist()
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"kind": "circle"},
+    {"kind": "ellipse", "params": {"a": 1.0, "b": 0.3}},
+    {"kind": "torus_knot", "params": {"p": 2, "q": 3}},
+    {"kind": "torus_knot", "params": {"p": 2, "q": 5}},
+    {"kind": "rounded_polygon", "params": {"sides": 5}},
+    {"samples": _PENTAGON_SAMPLES},
+], ids=["circle", "ellipse", "trefoil", "knot_2_5", "rounded_pentagon", "samples"])
+def test_inverse_table_is_scipy_pchip_bit_for_bit(descriptor):
+    curve = mk.load_curve(descriptor)
+    for c in (curve, curve.scaled(3.7)):
+        reference = PchipInterpolator(c.s_table, c.u_table)
+        assert np.array_equal(c._inv_x, reference.x)
+        assert np.array_equal(c._inv_c, reference.c)
+
+
+def test_pchip_end_slope_clamp_matches_scipy():
+    x = np.array([0.0, 1.0, 1.1, 3.0, 3.05])
+    y = np.array([0.0, 0.1, 2.0, 2.5, 4.0])
+    # the raw one-sided slope at x = 0 is negative
+    assert ((2 * 1.0 + 0.1) * 0.1 - 1.0 * 19.0) / 1.1 < 0.0
+    coefficients = curves._pchip_coefficients(x, y)
+    assert coefficients[2, 0] == 0.0
+    assert np.array_equal(coefficients, PchipInterpolator(x, y).c)
+
+
+@pytest.mark.parametrize("u_table", [[0.0, 0.5, 0.5, 1.0], [0.0, 0.6, 0.4, 1.0], [0.0, 0.5, np.nan, 1.0]])
+def test_non_increasing_parameter_table_rejected(u_table):
+    with pytest.raises(InputError, match="parameter table"):
+        curves.ArcLengthCurve(mk.circle(), u_table, [0.0, 1.0, 2.0, 3.0])
+
+
+def test_torus_knot_derivative_formula():
+    u = np.arange(4096) / 4096
+    ap, aq = 2.0 * math.pi * 2 * u, 2.0 * math.pi * 3 * u
+    rad, drad = 2.0 + np.cos(aq), -2.0 * math.pi * 3 * np.sin(aq)
+    expected = np.stack([drad * np.cos(ap) - 2.0 * math.pi * 2 * rad * np.sin(ap),
+                         drad * np.sin(ap) + 2.0 * math.pi * 2 * rad * np.cos(ap),
+                         2.0 * math.pi * 3 * np.cos(aq)], axis=1)
+    assert np.array_equal(mk.torus_knot(2, 3, 2.0, 1.0).velocity(u), expected)
+
+
+_IMPORT_PROBE = """
+import json, sys
+loaded = lambda: [name for name in ("scipy.interpolate", "scipy.optimize") if name in sys.modules]
+stages = {}
+import moebius_kit.cli
+stages["cli"] = loaded()
+from moebius_kit import curves, energies, inscription
+trefoil = curves.load_curve({"kind": "torus_knot", "params": {"p": 2, "q": 3}})
+inscription.inscribe_equilateral(trefoil, 64)
+energies.smooth_moebius_energy(trefoil)
+stages["trefoil"] = loaded()
+curves.from_samples(%r)
+stages["samples"] = loaded()
+print(json.dumps(stages))
+""" % (_PENTAGON_SAMPLES,)
+
+
+def test_only_samples_curves_load_scipy_interpolate():
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, check=True)
+    stages = json.loads(proc.stdout)
+    assert stages["cli"] == stages["trefoil"] == []
+    assert "scipy.interpolate" in stages["samples"]    # which imports scipy.optimize itself
 
 
 def test_scale_equivariance():
