@@ -55,7 +55,6 @@ from .inscription import (
 )
 from .optimize import (
     DescentTrace,
-    OptimizerConfig,
     align_rigid,
     energy_gradient,
     minimize_discrete_energy,

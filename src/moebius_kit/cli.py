@@ -35,7 +35,7 @@ from .experiments import (
     minimizer_study,
 )
 from .inscription import inscribe_equilateral, inscribe_uniform
-from .optimize import OptimizerConfig, minimize_discrete_energy
+from .optimize import minimize_discrete_energy
 from .polygon import ClosedPolygon, random_equilateral_polygon
 
 
@@ -175,12 +175,6 @@ def cmd_inscribe(args) -> int:
 
 
 def cmd_minimize(args) -> int:
-    cfg = OptimizerConfig(
-        max_iterations=args.max_iter,
-        initial_step=args.step,
-        grad_tol=args.grad_tol,
-        energy_tol=args.energy_tol,
-    )
     if args.polygon:
         start = _load_polygon(args.polygon)
         seed = None
@@ -189,7 +183,7 @@ def cmd_minimize(args) -> int:
             raise InputError("minimize needs --polygon or --n")
         seed = args.seed
         start = random_equilateral_polygon(int(args.n), dim=args.dim, seed=seed)
-    trace = minimize_discrete_energy(start, cfg)
+    trace = minimize_discrete_energy(start, args.max_iter)
     out_dir = _ensure_dir(args.out_dir)
     trace.write_csv(out_dir / "trace.csv")
     trace.final_polygon.write_json(out_dir / "final-polygon.json")
@@ -255,8 +249,8 @@ def cmd_study_gamma(args) -> int:
 
 
 def cmd_study_minimizers(args) -> int:
-    cfg = OptimizerConfig(max_iterations=args.max_iter)
-    report = minimizer_study(parse_n_spec(args.n), seeds=args.seeds, dim=args.dim, cfg=cfg)
+    report = minimizer_study(parse_n_spec(args.n), seeds=args.seeds, dim=args.dim,
+                             max_iterations=args.max_iter)
     return _study(args, "minimizers", report,
                   f"circle distances decreasing: {report.fields['distances_decreasing']}",
                   seed=args.seeds)
@@ -309,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dim", type=int, choices=(2, 3), default=3)
     p.add_argument("--max-iter", type=int, default=5000)
-    p.add_argument("--step", type=float, default=1.0,
-                   help="first trial step, dimensionless: a multiple of the Sobolev-metric "
-                        "descent direction, which scales like a length")
-    p.add_argument("--grad-tol", type=float, default=1e-9)
-    p.add_argument("--energy-tol", type=float, default=1e-14)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_minimize)
 

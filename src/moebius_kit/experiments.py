@@ -31,7 +31,7 @@ from .curves import ArcLengthCurve, unit_circle
 from .energies import discrete_moebius_energy, regular_ngon_energy, smooth_moebius_energy
 from .errors import InputError
 from .inscription import inscribe_equilateral, inscribe_uniform, recovery_sequence
-from .optimize import OptimizerConfig, align_rigid, minimize_discrete_energy
+from .optimize import align_rigid, minimize_discrete_energy
 from .polygon import ClosedPolygon, curve_distance, random_equilateral_polygon, regular_ngon
 
 CIRCLE_ENERGY = 4.0  # full integral for any round circle; antiderivative -(1/2) cot(u/2)
@@ -211,11 +211,11 @@ def liminf_spotcheck(curve: ArcLengthCurve, polygon_family, n_list, seed: int = 
     return StudyReport(("n", "energy", "l1_distance", "slack"), rows, fields, ("n", "energy"))
 
 
-def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
-                    cfg: OptimizerConfig | None = None) -> StudyReport:
+def minimizer_study(n_list, seeds: int = 10, dim: int = 3, max_iterations: int = 5000) -> StudyReport:
     """Minimize the discrete energy from seeded random equilateral starts.
 
-    For each n, seeds 0 .. seeds - 1 are descended; the best run is
+    For each n, seeds 0 .. seeds - 1 are descended, each for at most
+    ``max_iterations`` accepted steps; the best run is
     compared against the regular n-gon (energy gap, rigid-alignment
     residual) and, after rescaling to length 1, against the round circle in
     W^{1,inf}.  A row is flagged when no seed converged: every run ended at
@@ -233,7 +233,7 @@ def minimizer_study(n_list, seeds: int = 10, dim: int = 3,
         terminations = []
         for seed in range(int(seeds)):
             start = random_equilateral_polygon(n, dim=dim, seed=seed)
-            trace = minimize_discrete_energy(start, cfg)
+            trace = minimize_discrete_energy(start, max_iterations)
             terminations.append(trace.termination)
             energy = trace.energies[-1]
             if best is None or energy < best[0]:

@@ -9,11 +9,14 @@ equilateral polygons by :func:`project_equilateral_closed`, the nearest
 such chain, whose edge directions point away from the geometric median
 of the step's edge vectors (a Newton solve in d unknowns; where the
 median is undefined, one alternating sweep of the edges and a new
-solve), and accepted by an Armijo backtracking line search.  The trace
-records the start and the state after each accepted step, and counts
-the rejected trial steps.  At the sizes descents run at, an iteration's
-cost is per-call overhead, so it reads each polygon's edges once
-(:class:`polygon.ClosedPolygon` keeps them), calls LAPACK directly for
+solve), and accepted by an Armijo backtracking line search.  Its one
+setting is the iteration budget; the first trial step and the gradient,
+decrease and noise thresholds are the constants 1, 1e-9, 1e-14 and 1e-12
+(:func:`minimize_discrete_energy`).  The trace records the start and the
+state after each accepted step, and counts the rejected trial steps.  At
+the sizes descents run at, an iteration's cost is per-call overhead, so
+it reads each polygon's edges once (:class:`polygon.ClosedPolygon` keeps
+them), calls LAPACK directly for
 its small dense solves, and shifts cyclically by concatenating slices;
 the tests hold it bit for bit to the ``scipy.linalg.solve`` and
 ``np.roll`` forms.  The descent only
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -39,22 +43,6 @@ from .energies import discrete_moebius_energy, regular_ngon_energy
 from .errors import ConvergenceError, DoublePointError, InputError
 from . import polygon
 from .polygon import ClosedPolygon, inverse_square_chord_blocks
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    max_iterations: int = 5000
-    initial_step: float = 1.0
-    grad_tol: float = 1e-9
-    energy_tol: float = 1e-14
-
-    def __post_init__(self):
-        if not self.max_iterations >= 0:
-            raise InputError(f"max_iterations must be non-negative, got {self.max_iterations!r}")
-        for name in ("initial_step", "grad_tol", "energy_tol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise InputError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass
@@ -185,7 +173,8 @@ def _median_directions(e: np.ndarray, norms: np.ndarray) -> np.ndarray | None:
 def project_equilateral_closed(vertices, length: float | None = None) -> ClosedPolygon:
     """Nearest closed chain of n edges of the given length, by default the mean input edge length.
 
-    The closed chain with every |e'_i| = l nearest the input edges e is
+    ``vertices`` is an (n, d) array of the chain's vertices.  The closed
+    chain with every |e'_i| = l nearest the input edges e is
     e'_i = l (e_i - mu) / |e_i - mu|, mu the geometric median of the e_i
     (PAPER.md, "Retraction"; :func:`_median_directions`).  Subtracting
     the mean edge once more moves edge lengths by |sum e'| / n only, so
@@ -201,8 +190,6 @@ def project_equilateral_closed(vertices, length: float | None = None) -> ClosedP
     ``np.mean`` does.
     """
     v = np.asarray(vertices, dtype=float)
-    if isinstance(vertices, ClosedPolygon):
-        v = vertices.vertices
     if v.ndim != 2 or v.shape[0] < 3:
         raise InputError("need at least 3 vertices")
     if not np.all(np.isfinite(v)):
@@ -295,36 +282,39 @@ def _sobolev_spectrum(n: int, L: float) -> tuple[np.ndarray, np.ndarray]:
     return g_inv, circ
 
 
-def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = None) -> DescentTrace:
+def minimize_discrete_energy(p0: ClosedPolygon, max_iterations: int = 5000) -> DescentTrace:
     """Descent for the discrete energy over the equilateral class.
 
     Each iteration steps along the direction x of :func:`sobolev_direction`,
     retracts onto the class with :func:`project_equilateral_closed` at
     the start's edge length L / n (the energy is scale-invariant; without
     that, the second-order growth of the length in each step compounds).
-    The step t is dimensionless: the first
-    trial is ``cfg.initial_step``; a trial that fails the Armijo test
-    E(t) <= E - 1e-4 t (g . x) is halved, and an accepted step is grown
-    by 1.5 for the next iteration.  Terminates on the Euclidean gradient
-    norm ("gradient_tol"); once the decrease t (g . x) a trial step
-    predicts falls below ``energy_tol * max(1, |E|)``, or when a search
-    fails that began within the energy's noise ("energy_tol"); on the
-    iteration budget; on a non-positive slope, or a search that began
-    above the noise and failed, its step collapsed below 1e-16
-    ("stalled"); or at an approach to a double point ("barrier").  Each
-    iteration records its state once, first, with a NaN gradient norm at
-    a barrier; the state after the last budgeted step ends the run.
+    The step t is dimensionless: the first trial is 1; a trial that fails
+    the Armijo test E(t) <= E - 1e-4 t (g . x) is halved, and an accepted
+    step is grown by 1.5 for the next iteration.  Terminates once the
+    Euclidean gradient norm falls below 1e-9 ("gradient_tol"); once the
+    decrease t (g . x) a trial step predicts falls below
+    1e-14 max(1, |E|), or when a search fails that began within the
+    energy's noise, 1e-12 max(1, |E|) ("energy_tol"); after
+    ``max_iterations`` accepted steps ("max_iterations"); on a
+    non-positive slope, or a search that began above the noise and
+    failed, its step collapsed below 1e-16 ("stalled"); or at an approach
+    to a double point ("barrier").  Each iteration records its state
+    once, first, with a NaN gradient norm at a barrier; the state after
+    the last budgeted step ends the run.  A ``max_iterations`` that is
+    not a non-negative integer raises :class:`InputError`.
     """
-    cfg = cfg or OptimizerConfig()
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 0):
+        raise InputError(f"max_iterations must be a non-negative integer, got {max_iterations!r}")
     cert = p0.equilaterality()
     p = p0 if cert.max_edge_deviation <= 1e-12 else project_equilateral_closed(p0.vertices)
     L = p.total_length
     n = p.n
-    step = cfg.initial_step
+    step = 1.0
     trace = DescentTrace()
     energy = discrete_moebius_energy(p).value
 
-    for iteration in range(cfg.max_iterations + 1):
+    for iteration in range(max_iterations + 1):
         try:
             grad = energy_gradient(p)
             gnorm = float(np.max(np.linalg.norm(grad, axis=1)))
@@ -334,14 +324,14 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         trace.grad_norms.append(gnorm)
         trace.steps.append(step)
 
-        if iteration == cfg.max_iterations:
+        if iteration == max_iterations:
             trace.termination = "max_iterations"
             break
         if grad is None:
             trace.termination = "barrier"
             trace.barrier_pair = barrier_pair
             break
-        if gnorm < cfg.grad_tol:
+        if gnorm < 1e-9:
             trace.termination = "gradient_tol"
             break
         x = sobolev_direction(p, grad)
@@ -352,8 +342,8 @@ def minimize_discrete_energy(p0: ClosedPolygon, cfg: OptimizerConfig | None = No
         # the retraction leaves edges unequal by up to 1e-12, which moves E by
         # up to about 1e-12 |E|: a search that starts with a predicted decrease
         # below that cannot certify it, and its failure means convergence
-        negligible = cfg.energy_tol * max(1.0, abs(energy))
-        within_noise = step * slope < max(cfg.energy_tol, 1e-12) * max(1.0, abs(energy))
+        negligible = 1e-14 * max(1.0, abs(energy))
+        within_noise = step * slope < 1e-12 * max(1.0, abs(energy))
         while step * slope >= negligible and step >= 1e-16:
             try:
                 candidate = project_equilateral_closed(p.vertices - step * x, L / n)

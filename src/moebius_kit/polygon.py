@@ -34,12 +34,12 @@ class EquilateralityCertificate:
     """How far a polygon is from the equilateral class.
 
     ``max_edge_deviation`` is max_i |l_i - mean| / mean (up to 1e-8 the
-    energy takes its arc part by separation, and the gradient is defined);
-    the closure residual is |sum of edge vectors| (0 for vertex lists).
+    energy takes its arc part by separation, and the gradient is defined).
+    A vertex list closes by construction: its edge vectors sum to zero up
+    to rounding.
     """
 
     max_edge_deviation: float
-    closure_residual: float
 
 
 class ClosedPolygon:
@@ -107,8 +107,7 @@ class ClosedPolygon:
     def equilaterality(self) -> EquilateralityCertificate:
         mean = self.total_length / self.n
         dev = float(np.abs(self.edge_lengths - mean).max()) / mean
-        closure = float(np.linalg.norm(self._edges.sum(axis=0)))
-        return EquilateralityCertificate(dev, closure)
+        return EquilateralityCertificate(dev)
 
     def scaled(self, factor: float) -> "ClosedPolygon":
         if factor <= 0:

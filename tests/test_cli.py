@@ -252,10 +252,14 @@ def test_manifest_records_only_settings_in_effect(circle_path, square_path, tmp_
     uniform = config(["inscribe", "--curve", circle_path, "--n", "16"])
     assert "tol" not in uniform["config"]
     given = config(["minimize", "--polygon", square_path])
-    assert not {"n", "seed", "dim"} & set(given["config"])
+    assert set(given["config"]) == {"max_iter", "out_dir", "polygon", "subcommand"}
     assert given["seed"] is None
     random_start = config(["minimize", "--n", "4", "--seed", "2"])
-    assert {"n", "seed", "dim"} <= set(random_start["config"])
+    assert set(random_start["config"]) == {"dim", "max_iter", "n", "out_dir", "polygon", "seed",
+                                           "subcommand"}
+    minimizers = config(["study minimizers", "--n", "4,8", "--seeds", "10"])
+    assert set(minimizers["config"]) == {"dim", "max_iter", "n", "out_dir", "plot_data", "seeds",
+                                         "study_kind", "subcommand"}
     inscribed = config(["study liminf", "--curve", circle_path, "--n", "16,32,64"])
     assert "seed" not in inscribed["config"]
     assert inscribed["seed"] is None
@@ -341,12 +345,37 @@ def test_minimize_barrier_exits_2(monkeypatch, tmp_path, capsys):
     ],
 )
 def test_bad_descent_settings_exit_1(argv, tmp_path, capsys):
-    # each of these used to crash, stall (exit 3) or stop at once (exit 0)
+    # each of these used to crash, stall (exit 3) or stop at once (exit 0); the first trial
+    # step and the tolerances are constants now, so the parser refuses their flags outright
     out = tmp_path / "run"
-    assert main([*argv, "--out-dir", str(out)]) == 1
+    removed_flag = argv[3].split("=")[0] in ("--step", "--energy-tol", "--grad-tol")
+    if removed_flag:
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir", str(out)])
+        assert exc.value.code == 1
+    else:
+        assert main([*argv, "--out-dir", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:")
+    if removed_flag:
+        assert captured.err.startswith("usage:")
+        assert f"error: unrecognized arguments: {' '.join(argv[3:])}" in captured.err
+    else:
+        assert captured.err.startswith("error:")
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--step", "0.5"), ("--grad-tol", "1e-9"),
+                                         ("--energy-tol", "1e-14")])
+def test_removed_descent_flags_exit_1(flag, value, tmp_path, capsys):
+    # the first trial step and the tolerances are constants: even their former defaults are unknown flags
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit) as exc:
+        main(["minimize", "--n", "8", flag, value, "--out-dir", str(out)])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: unrecognized arguments: {flag} {value}" in captured.err
     assert not out.exists()
 
 

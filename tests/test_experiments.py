@@ -228,8 +228,7 @@ class TestMinimizerStudy:
         assert report.fields["distances_decreasing"]
 
     def test_iteration_budget_counts_as_not_converged(self):
-        cfg = mk.OptimizerConfig(max_iterations=1)
-        report = mk.minimizer_study([8], seeds=10, dim=3, cfg=cfg)
+        report = mk.minimizer_study([8], seeds=10, dim=3, max_iterations=1)
         assert report.rows[0]["terminations"] == ["max_iterations"] * 10
         assert report.rows[0]["flagged"]
 
